@@ -44,10 +44,6 @@ Example::
     record = api.simulate("gzip", "baseline-sfc-mdt", scale=5000)
     print(record.ipc, record.metric("sfc_forwards"))
     print(record.to_json(indent=2))   # schema_version included
-
-The old entry points (``repro.cli.CONFIGS``/``FIGURES``, and
-``format_report`` over a raw ``SimResult``) keep working through thin
-shims that emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations

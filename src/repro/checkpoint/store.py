@@ -1,25 +1,21 @@
-"""Content-addressed on-disk checkpoint store.
+"""Content-addressed checkpoint-train store.
 
-Checkpoint trains live under ``<cache-dir>/checkpoints/`` (by default
-inside the same ``.repro_cache/`` the result cache uses), keyed by a
-hash of the program content digest and the capture parameters.  Grid
-cells that share a benchmark therefore fast-forward once: the first
-cell captures and persists the train, every later cell -- in the same
-process or a later one -- restores it.
-
-Writes are atomic (collision-proof temp + rename), mirroring
-:class:`~repro.harness.experiment.ResultCache`, so concurrent runners
-sharing a cache directory only ever observe complete trains.
+Checkpoint trains are the ``checkpoints/`` namespace of the on-disk
+store (:mod:`repro.store`), by default inside the same
+``.repro_cache/`` the result cache uses, keyed by a hash of the program
+content digest and the capture parameters.  Grid cells that share a
+benchmark therefore fast-forward once: the first cell captures and
+persists the train, every later cell -- in the same process or a later
+one -- restores it.  Writes are atomic, so concurrent runners sharing a
+cache directory only ever observe complete trains.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
+from ..store import Namespace, content_key
 from .arch import CHECKPOINT_FORMAT, ArchCheckpoint
 
 
@@ -30,18 +26,25 @@ def train_key(program_digest: str, every: int, warm: bool) -> str:
     built programs share a train), the capture interval, whether warm
     capsules were collected, and the serialization format version.
     """
-    canonical = json.dumps(
-        {"format": CHECKPOINT_FORMAT, "program": program_digest,
-         "every": every, "warm": warm},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key({"format": CHECKPOINT_FORMAT,
+                        "program": program_digest,
+                        "every": every, "warm": warm})
 
 
-class CheckpointStore:
-    """One-JSON-file-per-train store under a directory."""
+class CheckpointStore(Namespace):
+    """One-JSON-file-per-train store, memoised in-process.
 
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
+    A train is deserialized at most once per store instance; later loads
+    are served from memory.  With ``directory=None`` trains live only in
+    that memo, so cells sharing a benchmark still fast-forward once per
+    process with the disk cache off.
+    """
+
+    FORMAT = CHECKPOINT_FORMAT
+
+    def __init__(self, directory: Optional[Union[str, Path]] = None):
+        super().__init__(directory)
+        self._memo: Dict[str, dict] = {}
 
     def path(self, key: str) -> Path:
         return self.directory / f"{key}.ckpt.json"
@@ -60,46 +63,37 @@ class CheckpointStore:
         past ``every`` whenever the train was thinned); 0 means unknown
         and is re-inferred from checkpoint positions on resume.
         """
-        try:
-            payload = json.loads(self.path(key).read_text())
-        except (OSError, ValueError):
+        train = self._memo.get(key)
+        if train is not None or self.directory is None:
+            return train
+        payload = self._read(key)
+        if payload is None:
             return None
-        if not isinstance(payload, dict) or \
-                payload.get("format") != CHECKPOINT_FORMAT:
-            return None
         try:
-            checkpoints = [ArchCheckpoint.from_dict(entry)
-                           for entry in payload["checkpoints"]]
-            total = int(payload["total_instructions"])
-            complete = bool(payload.get("complete", True))
-            stride = int(payload.get("stride", 0))
+            train = {
+                "total_instructions": int(payload["total_instructions"]),
+                "checkpoints": [ArchCheckpoint.from_dict(entry)
+                                for entry in payload["checkpoints"]],
+                "complete": bool(payload.get("complete", True)),
+                "stride": int(payload.get("stride", 0)),
+            }
         except (KeyError, TypeError, ValueError):
             return None
-        return {"total_instructions": total, "checkpoints": checkpoints,
-                "complete": complete, "stride": stride}
+        self._memo[key] = train
+        return train
 
     def store(self, key: str, checkpoints: List[ArchCheckpoint],
               total_instructions: int, complete: bool = True,
               stride: int = 0) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path(key)
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "total_instructions": total_instructions,
-            "complete": bool(complete),
-            "stride": int(stride),
-            "checkpoints": [ckpt.to_dict() for ckpt in checkpoints],
-        }
-        tmp = final.with_name(
-            f"{final.name}.tmp.{os.getpid()}.{os.urandom(6).hex()}")
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            tmp.replace(final)
-        except BaseException:
-            # Any mid-write failure -- not just OSError: a TypeError from
-            # an unserializable warm capsule must not leak the temp file.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        if self.directory is not None:
+            self._write(key, {
+                "format": CHECKPOINT_FORMAT,
+                "total_instructions": total_instructions,
+                "complete": bool(complete),
+                "stride": int(stride),
+                "checkpoints": [ckpt.to_dict() for ckpt in checkpoints],
+            })
+        self._memo[key] = {"total_instructions": total_instructions,
+                           "checkpoints": list(checkpoints),
+                           "complete": bool(complete),
+                           "stride": int(stride)}

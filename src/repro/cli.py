@@ -29,9 +29,10 @@ Subcommands
     restoring completed cells from the persistent cache so only
     missing/failed cells are simulated.  ``--timeout``/``--retries``
     tune the per-cell fault-tolerance knobs; ``--gc-cache`` sweeps
-    unreadable/foreign-format cache entries first.  Exits nonzero when
-    any cell remains failed.  ``--suite NAME`` runs a declared suite
-    (e.g. ``riscv-conformance``) instead of an explicit benchmark list.
+    unreadable/foreign-format cache entries -- results and checkpoint
+    trains -- first.  Exits nonzero when any cell remains failed.
+    ``--suite NAME`` runs a declared suite (e.g. ``riscv-conformance``)
+    instead of an explicit benchmark list.
 ``conformance``
     Execute every program of the ``riscv-conformance`` suite on the
     interpreter oracle and on every configuration of the differential
@@ -85,7 +86,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -98,19 +98,6 @@ from .workloads import (ALL_BENCHMARKS, RISCV_BENCHMARKS,
                         litmus_benchmark_names, suite as workload_suite,
                         suite_names)
 from .workloads.litmus import get_litmus, is_litmus
-
-_DEPRECATED_ATTRS = ("CONFIGS", "FIGURES")
-
-
-def __getattr__(name: str):
-    """Deprecation shims: the CONFIGS/FIGURES registries moved to
-    :mod:`repro.api`; importing them from here still works but warns."""
-    if name in _DEPRECATED_ATTRS:
-        warnings.warn(
-            f"repro.cli.{name} is deprecated; use repro.api.{name}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -282,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default 2)")
     suite.add_argument("--gc-cache", action="store_true",
                        help="drop unreadable/foreign-format cache "
-                            "entries and stale temp files first")
+                            "entries (results and checkpoint trains) "
+                            "and stale temp files first")
     _add_engine_flags(suite)
     _add_output_flags(suite)
 

@@ -60,7 +60,6 @@ which the figure layer, the benches, ``repro.api``, and the CLI's
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -84,6 +83,7 @@ from ..pipeline.config import ProcessorConfig, SystemConfig
 from ..pipeline.processor import Processor, SimResult
 from ..pipeline.system import System
 from ..stats.counters import Counters
+from ..store import Namespace, content_key
 from ..workloads import litmus, suites
 
 #: Default dynamic instruction budget per benchmark run.  Small enough for
@@ -111,20 +111,6 @@ DEFAULT_RETRY_BACKOFF = 0.25
 #: degrades to serial in-process execution.
 DEFAULT_MAX_POOL_REBUILDS = 6
 
-#: Age (seconds) past which an orphaned ``*.tmp.*`` cache file from a
-#: crashed writer is swept on cache open.  Younger temps may belong to a
-#: concurrent writer and are left alone.
-STALE_TEMP_SECONDS = 3600.0
-
-#: Conservative floor on the effective age for *timed* temp sweeps.  A
-#: caller asking for a shorter horizon still only sweeps temps at least
-#: this old: cross-host caches see each other's clocks, and mtimes can
-#: jump under clock adjustment, so a "fresh" temp another writer is
-#: mid-way through must never be swept by an age heuristic.  Explicit
-#: remove-everything sweeps (``max_age <= 0``, e.g. :meth:`ResultCache.
-#: gc`) bypass the floor.
-MIN_STALE_TEMP_SECONDS = 300.0
-
 _CRASH_ERROR = "worker process crashed (BrokenProcessPool)"
 
 
@@ -151,146 +137,41 @@ def cache_key(benchmark: str, scale: int, config,
             "scale": scale, "config": payload}
     if sampling is not None:
         body["sampling"] = sampling
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(body)
 
 
-class ResultCache:
-    """One-JSON-file-per-result cache under a directory.
+class ResultCache(Namespace):
+    """One-JSON-file-per-result cache under a directory, with the
+    checkpoint trains (:attr:`trains`) nested under its
+    ``checkpoints/``.
 
-    Files are written atomically (collision-proof temp file + rename) so
-    concurrent runners sharing a cache directory -- even across hosts --
-    can only ever observe complete entries; unreadable or corrupt
+    Both are namespaces of the atomic store in :mod:`repro.store`:
+    concurrent runners sharing a cache directory -- even across hosts
+    -- only ever observe complete entries, and unreadable or corrupt
     entries read as misses.  Opening the cache sweeps temp files
-    orphaned by crashed writers; :meth:`gc` additionally drops entries
-    this build can never read (foreign ``CACHE_FORMAT`` or corrupt
-    JSON).
+    orphaned by crashed writers in both namespaces; :meth:`gc`
+    additionally drops entries this build can never read, each judged
+    by its own namespace's format tag.
     """
 
+    FORMAT = CACHE_FORMAT
+
     def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
+        super().__init__(directory)
+        self.trains = CheckpointStore(self.directory / "checkpoints")
         self.sweep_stale_temps()
+
+    def namespaces(self) -> List[Namespace]:
+        return [self, self.trains]
 
     def path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
     def load(self, key: str) -> Optional[dict]:
-        try:
-            payload = json.loads(self.path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or \
-                payload.get("format") != CACHE_FORMAT:
-            return None
-        return payload
+        return self._read(key)
 
     def store(self, key: str, payload: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        final = self.path(key)
-        # pid alone collides across hosts sharing REPRO_CACHE_DIR; add
-        # random bytes so two writers can never race on one temp name.
-        tmp = final.with_name(
-            f"{final.name}.tmp.{os.getpid()}.{os.urandom(6).hex()}")
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            tmp.replace(final)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-
-    def sweep_stale_temps(self,
-                          max_age: float = STALE_TEMP_SECONDS) -> int:
-        """Delete ``*.tmp.*`` files older than ``max_age`` seconds
-        (orphans of crashed writers); returns the number removed.
-
-        Timed sweeps (``max_age > 0``) are defensive about clocks: a
-        temp whose mtime lies in the *future* (clock adjustment, or a
-        cross-host cache whose writer's clock runs ahead) gets a clamped
-        age of zero -- it reads as brand new, never as ancient -- and
-        the effective horizon is floored at ``MIN_STALE_TEMP_SECONDS``
-        so a concurrent writer's seconds-old temp cannot be swept
-        mid-write by an aggressive caller.  ``max_age <= 0`` is the
-        explicit remove-everything form (used by :meth:`gc`) and skips
-        both protections.
-        """
-        removed = 0
-        now = time.time()
-        effective = max(max_age, MIN_STALE_TEMP_SECONDS) \
-            if max_age > 0 else 0.0
-        try:
-            candidates = list(self.directory.glob("*.tmp.*"))
-        except OSError:
-            return 0
-        for tmp in candidates:
-            try:
-                age = max(0.0, now - tmp.stat().st_mtime)
-                if age >= effective:
-                    tmp.unlink()
-                    removed += 1
-            except OSError:
-                continue
-        return removed
-
-    def gc(self) -> int:
-        """Drop every entry this build cannot read -- corrupt JSON or a
-        foreign ``CACHE_FORMAT`` -- plus all temp files; returns the
-        number of files removed."""
-        removed = self.sweep_stale_temps(max_age=0.0)
-        try:
-            entries = list(self.directory.glob("*.json"))
-        except OSError:
-            return removed
-        for entry in entries:
-            try:
-                payload = json.loads(entry.read_text())
-                readable = isinstance(payload, dict) and \
-                    payload.get("format") == CACHE_FORMAT
-            except (OSError, ValueError):
-                readable = False
-            if not readable:
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    continue
-        return removed
-
-
-class _MemoCheckpointStore:
-    """In-process memo over an optional on-disk
-    :class:`~repro.checkpoint.store.CheckpointStore`.
-
-    Grid cells sharing a benchmark fast-forward once per *process* even
-    with the disk cache disabled, and the disk train is deserialized at
-    most once per process when it is enabled.
-    """
-
-    def __init__(self, inner: Optional[CheckpointStore]):
-        self.inner = inner
-        self._memo: Dict[str, dict] = {}
-
-    def load(self, key: str) -> Optional[dict]:
-        train = self._memo.get(key)
-        if train is not None:
-            return train
-        if self.inner is None:
-            return None
-        train = self.inner.load(key)
-        if train is not None:
-            self._memo[key] = train
-        return train
-
-    def store(self, key: str, checkpoints, total_instructions: int,
-              complete: bool = True, stride: int = 0) -> None:
-        self._memo[key] = {"total_instructions": total_instructions,
-                           "checkpoints": list(checkpoints),
-                           "complete": complete, "stride": stride}
-        if self.inner is not None:
-            self.inner.store(key, checkpoints, total_instructions,
-                             complete=complete, stride=stride)
+        self._write(key, payload)
 
 
 def _simulate_cell(program: Program, trace: List[RetireRecord],
@@ -386,10 +267,9 @@ class ExperimentRunner:
         self._programs: Dict[str, Program] = {}
         self._traces: Dict[str, List[RetireRecord]] = {}
         #: Checkpoint trains for sampled mode, memoized in-process and
-        #: (when the result cache is enabled) persisted next to it.
-        self._checkpoints = _MemoCheckpointStore(
-            CheckpointStore(self.cache.directory / "checkpoints")
-            if self.cache else None)
+        #: (when the result cache is enabled) persisted inside it.
+        self._checkpoints = self.cache.trains if self.cache \
+            else CheckpointStore(None)
         #: Injection points for failure testing: the per-cell worker
         #: function (must stay picklable) and the pool constructor.
         self._cell_fn = _simulate_cell

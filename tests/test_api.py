@@ -1,15 +1,11 @@
-"""Tests for the stable public API facade and the deprecation shims."""
-
-import warnings
+"""Tests for the stable public API facade."""
 
 import pytest
 
-from repro import Processor, api
+from repro import api
 from repro.harness import baseline_sfc_mdt_config
 from repro.obs.runrecord import RunRecord
-from repro.stats.report import format_report
 from repro.workloads import ALL_BENCHMARKS
-from tests.conftest import assemble, counted_loop_program
 
 
 def quiet_runner_kwargs():
@@ -87,41 +83,6 @@ class TestListings:
 
     def test_list_figures(self):
         assert api.list_figures() == sorted(api.FIGURES)
-
-
-class TestDeprecationShims:
-    """Old entry points keep working, but warn."""
-
-    def test_cli_configs_attribute_warns(self):
-        from repro import cli
-        with pytest.warns(DeprecationWarning, match="repro.api.CONFIGS"):
-            configs = cli.CONFIGS
-        assert configs is api.CONFIGS
-
-    def test_cli_figures_attribute_warns(self):
-        from repro import cli
-        with pytest.warns(DeprecationWarning, match="repro.api.FIGURES"):
-            figures = cli.FIGURES
-        assert figures is api.FIGURES
-
-    def test_cli_unknown_attribute_still_raises(self):
-        from repro import cli
-        with pytest.raises(AttributeError):
-            cli.NO_SUCH_NAME
-
-    def test_format_report_simresult_warns_and_renders(self):
-        result = Processor(assemble(counted_loop_program),
-                           baseline_sfc_mdt_config()).run()
-        with pytest.warns(DeprecationWarning, match="RunRecord"):
-            report = format_report(result)
-        assert "IPC" in report
-
-    def test_format_report_runrecord_does_not_warn(self):
-        record = api.simulate("gap", scale=1200, **quiet_runner_kwargs())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report = format_report(record)
-        assert "gap on baseline-sfc-mdt" in report
 
 
 class TestSimulateSystem:

@@ -13,6 +13,8 @@ The headline properties, checked with hypothesis over random programs:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,8 @@ from repro.harness.configs import (
     baseline_lsq_config,
     baseline_sfc_mdt_config,
 )
+from repro.harness.experiment import CACHE_FORMAT, ResultCache
+from repro.isa import instructions as ops
 from repro.isa.interp import Interpreter
 from repro.memory.main_memory import MainMemory
 from repro.pipeline.core import Core
@@ -242,7 +246,8 @@ class TestTrainAndStore:
         key = train_key(program.digest(), 700, True)
         assert store.load(key) is None
         store.store(key, checkpoints, total)
-        train = store.load(key)
+        # A fresh instance has no in-process memo: this reads the disk.
+        train = CheckpointStore(tmp_path).load(key)
         assert train["total_instructions"] == total
         assert len(train["checkpoints"]) == len(checkpoints)
         reloaded = train["checkpoints"][1]
@@ -251,6 +256,15 @@ class TestTrainAndStore:
         assert reloaded.pages == checkpoints[1].pages
         assert reloaded.warm == checkpoints[1].warm
 
+    def test_memo_only_store_keeps_trains_in_process(self, tmp_path):
+        program = suites.build("gzip", 2_000)
+        checkpoints, total = capture_train(program, every=700, warm=False)
+        store = CheckpointStore(None)
+        store.store("key", checkpoints, total)
+        assert store.load("key")["checkpoints"] == checkpoints
+        assert CheckpointStore(None).load("key") is None
+        assert store.gc() == 0 and store.sweep_stale_temps() == 0
+
     def test_store_corrupt_reads_as_miss(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.path("bad").parent.mkdir(parents=True, exist_ok=True)
@@ -258,8 +272,66 @@ class TestTrainAndStore:
         assert store.load("bad") is None
 
 
+#: Size of one entry in the namespace fault and concurrency tests.
+PAYLOAD_BYTES = 200_000
+
+#: Pages of a ~PAYLOAD_BYTES train (base64 grows each page by 4/3).
+_TRAIN_PAGES = PAYLOAD_BYTES * 3 // 4 // 4096
+
+
+class _Results:
+    """The results namespace, driven through :class:`ResultCache`."""
+
+    open = ResultCache
+
+    @staticmethod
+    def write(store, key, writer):
+        store.store(key, {"format": CACHE_FORMAT, "writer": writer,
+                          "blob": chr(97 + writer) * PAYLOAD_BYTES})
+
+    @staticmethod
+    def poison(store, key):
+        store.store(key, {"format": CACHE_FORMAT, "blob": object()})
+
+    @staticmethod
+    def complete(entry):
+        return entry["blob"] == chr(97 + entry["writer"]) * PAYLOAD_BYTES
+
+
+class _Trains:
+    """The trains namespace, driven through :class:`CheckpointStore`."""
+
+    open = CheckpointStore
+
+    @staticmethod
+    def _checkpoint(writer, warm=None):
+        pages = {index: bytes([writer]) * 4096
+                 for index in range(_TRAIN_PAGES)}
+        return ArchCheckpoint("0" * 64, writer, 0, [0] * ops.NUM_REGS,
+                              pages, warm=warm)
+
+    @staticmethod
+    def write(store, key, writer):
+        store.store(key, [_Trains._checkpoint(writer)], writer)
+
+    @staticmethod
+    def poison(store, key):
+        store.store(key, [_Trains._checkpoint(0, {"bpred": object()})], 1)
+
+    @staticmethod
+    def complete(train):
+        ckpt = train["checkpoints"][0]
+        return train["total_instructions"] == ckpt.retired and \
+            ckpt.pages == _Trains._checkpoint(ckpt.retired).pages
+
+
+_NAMESPACES = pytest.mark.parametrize(
+    "namespace", [_Results, _Trains], ids=["results", "trains"])
+
+
 class TestStoreFaultInjection:
-    """A failed write never leaks a ``*.tmp.*`` file, whatever raised."""
+    """A failed write never leaks a ``*.tmp.*`` file, whatever raised;
+    both namespaces share the one write path."""
 
     @staticmethod
     def _checkpoint(program):
@@ -293,6 +365,88 @@ class TestStoreFaultInjection:
             store.store("key", [ckpt], 100)
         assert list(tmp_path.glob("*.tmp.*")) == []
 
+    @_NAMESPACES
+    @pytest.mark.parametrize("fault", [TypeError, RuntimeError,
+                                       KeyboardInterrupt])
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch,
+                                         namespace, fault):
+        import pathlib
+
+        store = namespace.open(tmp_path)
+        with pytest.raises(fault):
+            if fault is TypeError:  # json.dumps cannot encode the payload
+                namespace.poison(store, "key")
+            else:
+                def broken_replace(self, target):
+                    raise fault("injected rename failure")
+
+                monkeypatch.setattr(pathlib.Path, "replace", broken_replace)
+                namespace.write(store, "key", 0)
+        monkeypatch.undo()
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+        assert store.load("key") is None
+        assert namespace.open(tmp_path).load("key") is None
+
+
+def _hammer(namespace, directory, writer, start, budget):
+    store = namespace.open(directory)
+    start.wait(timeout=60)
+    deadline = time.monotonic() + budget
+    for _ in range(50):
+        namespace.write(store, "key", writer)
+        if time.monotonic() > deadline:
+            break
+
+
+def _poll(namespace, directory, start, stop, out):
+    seen = torn = 0
+    start.wait(timeout=60)
+    while not stop.is_set():
+        # A fresh instance each time: no in-process memo, always disk.
+        entry = namespace.open(directory).load("key")
+        if entry is not None:
+            seen += 1
+            torn += not namespace.complete(entry)
+    out.put((seen, torn))
+
+
+class TestConcurrentWriters:
+    """Four processes hammer one key while two readers poll it: readers
+    only ever see a miss or a complete entry, and no temp survives.
+
+    Each writer stores 50 times or until :attr:`BUDGET_S` has passed,
+    whichever comes first: on some filesystems a rename over an existing
+    file alone takes tens of milliseconds.
+    """
+
+    BUDGET_S = 0.5
+
+    @_NAMESPACES
+    def test_readers_see_only_complete_entries(self, tmp_path, namespace):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        start, stop, out = ctx.Barrier(6), ctx.Event(), ctx.Queue()
+        readers = [ctx.Process(target=_poll, args=(namespace, tmp_path,
+                                                   start, stop, out))
+                   for _ in range(2)]
+        writers = [ctx.Process(target=_hammer, args=(
+                       namespace, tmp_path, writer, start, self.BUDGET_S))
+                   for writer in range(4)]
+        for process in readers + writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=60)
+        stop.set()
+        polls = [out.get(timeout=60) for _ in readers]
+        for process in readers:
+            process.join(timeout=60)
+        assert [p.exitcode for p in writers + readers] == [0] * 6
+        assert sum(torn for _seen, torn in polls) == 0
+        assert sum(seen for seen, _torn in polls) > 0
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+        assert namespace.complete(namespace.open(tmp_path).load("key"))
+
 
 def _train_fingerprint(train):
     import json
@@ -306,27 +460,33 @@ def _train_fingerprint(train):
 
 class TestEnsureTrain:
     """Cross-scale checkpoint-train reuse: prefix serve + in-place
-    extension, never a recapture."""
+    extension, never a recapture.  Each reuse opens a fresh store, as a
+    later process would, so trains come back from disk, not the memo."""
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_extension_bit_identical_to_fresh_capture(self, tmp_path,
                                                       warm):
         program = suites.build("gzip", 4_000)
-        grown = CheckpointStore(tmp_path / "grown")
-        fresh = CheckpointStore(tmp_path / "fresh")
+
+        def grown():
+            return CheckpointStore(tmp_path / "grown")
+
+        def fresh():
+            return CheckpointStore(tmp_path / "fresh")
+
         short = ensure_train(program, 300, warm, horizon=1_000,
-                             store=grown)
+                             store=grown())
         assert not short["complete"]
         assert short["total_instructions"] >= 1_000
         extended = ensure_train(program, 300, warm, horizon=3_000,
-                                store=grown)
+                                store=grown())
         reference = ensure_train(program, 300, warm, horizon=3_000,
-                                 store=fresh)
+                                 store=fresh())
         assert _train_fingerprint(extended) == \
             _train_fingerprint(reference)
         # ... and extending to completion still matches a fresh full run
-        full = ensure_train(program, 300, warm, store=grown)
-        full_ref = ensure_train(program, 300, warm, store=fresh)
+        full = ensure_train(program, 300, warm, store=grown())
+        full_ref = ensure_train(program, 300, warm, store=fresh())
         assert full["complete"]
         assert _train_fingerprint(full) == _train_fingerprint(full_ref)
 
@@ -339,7 +499,7 @@ class TestEnsureTrain:
         key = train_key(program.digest(), 300, True)
         mtime = store.path(key).stat().st_mtime_ns
         short = ensure_train(program, 300, True, horizon=500,
-                             store=store)
+                             store=CheckpointStore(tmp_path))
         assert _train_fingerprint(short) == \
             _train_fingerprint(long_train)
         assert store.path(key).stat().st_mtime_ns == mtime
@@ -351,7 +511,8 @@ class TestEnsureTrain:
         assert full["complete"]
         served = ensure_train(
             program, 300, True,
-            horizon=full["total_instructions"] * 10, store=store)
+            horizon=full["total_instructions"] * 10,
+            store=CheckpointStore(tmp_path))
         assert _train_fingerprint(served) == _train_fingerprint(full)
 
     def test_incomplete_train_positions_resumable(self, tmp_path):

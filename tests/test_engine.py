@@ -10,13 +10,18 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.checkpoint import ensure_train, train_key
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.harness.experiment import (
+    CACHE_FORMAT,
     ExperimentRunner,
     ResultCache,
     cache_key,
 )
 from repro.harness.figures import manifest_table
+from repro.isa.interp import Interpreter
+from repro.pipeline.config import SystemConfig
+from repro.workloads import suites
 
 BENCHMARKS = ["gap", "crafty"]
 SCALE = 1200
@@ -50,6 +55,29 @@ class TestCacheKey:
         base = cache_key("gap", SCALE, config)
         assert cache_key("crafty", SCALE, config) != base
         assert cache_key("gap", SCALE + 1, config) != base
+
+    def test_keys_and_layout_pinned(self, tmp_path):
+        """Keys, file names and directory layout are what earlier builds
+        wrote, so an existing cache directory is still served as hits."""
+        sampling = {"intervals": 4, "warmup_insts": 100,
+                    "interval_insts": 400, "checkpoint_every": 0,
+                    "warm": True}
+        assert cache_key("gap", SCALE, baseline_lsq_config()) == \
+            "d9a61682cc1eae95320d4c6d5b32745a550d4c5f694981f133393a01a5e21f75"
+        assert cache_key("gzip", 2000, baseline_sfc_mdt_config(),
+                         sampling=sampling) == \
+            "b2fdae83431a0a1ed2ce8aa63d5daaf5b959b99e56fd2820ca0a290215bf92c8"
+        assert cache_key("gap", SCALE, SystemConfig(
+            baseline_sfc_mdt_config(), cores=2)) == \
+            "bbf66365f62aebca3c06ecad297aa9067b921abd2886d8694d9013dd4df72156"
+        assert train_key("0" * 64, 700, True) == \
+            "c4a933957df45e54c4a20514c3bc1146a960c0ea9db7d177ff440ff251a606cc"
+        assert train_key("ab" * 32, 500, False) == \
+            "09a401415a3d50d67ced2ee3c68c22edce1c14ffe1ed4f829304ef5cfb555740"
+        cache = ResultCache(tmp_path)
+        assert cache.path("k") == tmp_path / "k.json"
+        assert cache.trains.path("k") == \
+            tmp_path / "checkpoints" / "k.ckpt.json"
 
     def test_key_stable_across_processes(self):
         """The content hash must not depend on interpreter state (dict
@@ -165,7 +193,7 @@ class TestResultCache:
         """Regression: callers passing a tiny max_age could sweep a
         concurrent writer's seconds-old temp mid-write.  Timed sweeps
         floor the horizon at MIN_STALE_TEMP_SECONDS."""
-        from repro.harness.experiment import MIN_STALE_TEMP_SECONDS
+        from repro.store import MIN_STALE_TEMP_SECONDS
 
         cache = ResultCache(tmp_path)
         young = tmp_path / ("d" * 64 + ".json.tmp.999.aa")
@@ -220,6 +248,58 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.store("old", {"format": -1, "cycles": 7})
         assert cache.load("old") is None
+
+
+class TestTrainsNamespace:
+    """Opening the cache and gc() cover the checkpoint trains nested
+    under it, each namespace judged by its own format tag."""
+
+    @staticmethod
+    def _file(tmp_path, name, text="{", age=0.0):
+        path = tmp_path / "checkpoints" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        stamp = time.time() - age
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def test_open_sweeps_stale_train_temp_only(self, tmp_path):
+        stale = self._file(tmp_path, "a" * 64 + ".ckpt.json.tmp.9.dead",
+                           age=36_000)
+        fresh = self._file(tmp_path, "b" * 64 + ".ckpt.json.tmp.9.cafe",
+                           age=5)
+        ResultCache(tmp_path)
+        assert not stale.exists(), "ten-hour-old train temp must go"
+        assert fresh.exists(), "a concurrent writer's temp must survive"
+
+    def test_gc_drops_foreign_and_corrupt_trains(self, tmp_path):
+        foreign = self._file(tmp_path, "c" * 64 + ".ckpt.json",
+                             json.dumps({"format": -1}))
+        corrupt = self._file(tmp_path, "d" * 64 + ".ckpt.json")
+        assert ResultCache(tmp_path).gc() == 2
+        assert not foreign.exists() and not corrupt.exists()
+
+    def test_valid_train_survives_gc_and_is_served(self, tmp_path,
+                                                   monkeypatch):
+        program = suites.build("gzip", 2_000)
+        cache = ResultCache(tmp_path)
+        cache.store("e" * 64, {"format": CACHE_FORMAT, "cycles": 7})
+        train = ensure_train(program, 300, True, store=cache.trains)
+        path = cache.trains.path(train_key(program.digest(), 300, True))
+        mtime = path.stat().st_mtime_ns
+
+        assert ResultCache(tmp_path).gc() == 0
+        assert cache.load("e" * 64) == {"format": CACHE_FORMAT, "cycles": 7}
+
+        def no_fast_forward(*_args, **_kwargs):
+            raise AssertionError("a stored train was recaptured")
+
+        monkeypatch.setattr(Interpreter, "fast_forward", no_fast_forward)
+        served = ensure_train(program, 300, True,
+                              store=ResultCache(tmp_path).trains)
+        assert served["total_instructions"] == train["total_instructions"]
+        assert len(served["checkpoints"]) == len(train["checkpoints"])
+        assert path.stat().st_mtime_ns == mtime
 
 
 class TestEngineGrids:
