@@ -27,22 +27,22 @@ def corruption_mechanisms(scale, runner):
         endpoint_config.sfc.corruption_mode = CORRUPTION_ENDPOINTS
         mask = runner.run(name, mask_config)
         endpoints = runner.run(name, endpoint_config)
-        loads = mask.counters.get("retired_loads") or 1
+        loads = mask.metric("retired_loads") or 1
         rows.append((name, {
             "IPC-mask": mask.ipc,
             "IPC-endpoints": endpoints.ipc,
             "corrupt/ld-mask":
-                mask.counters.get("load_replays_sfc_corrupt") / loads,
+                mask.metric("load_replays_sfc_corrupt") / loads,
             "corrupt/ld-endp":
-                endpoints.counters.get("load_replays_sfc_corrupt") / loads,
-            "overflows":
-                endpoints.counters.get("sfc_endpoint_overflows"),
+                endpoints.metric("load_replays_sfc_corrupt") / loads,
+            "overflows": endpoints.metric("sfc_endpoint_overflows"),
         }))
     return FigureResult(
         "Section 3.2 alternative: corruption masks vs flush endpoints "
         "(aggressive core)",
         ["IPC-mask", "IPC-endpoints", "corrupt/ld-mask",
-         "corrupt/ld-endp", "overflows"], rows)
+         "corrupt/ld-endp", "overflows"], rows,
+        rate_series=["corrupt/ld-mask", "corrupt/ld-endp", "overflows"])
 
 
 def test_flush_endpoints_vs_corruption_masks(figure_bench):

@@ -34,21 +34,20 @@ def retirement_replay_comparison(scale, runner):
     for name in BENCHMARKS:
         sfc = runner.run(name, aggressive_sfc_mdt_config())
         replay = runner.run(name, aggressive_load_replay_config())
-        loads = replay.counters.get("retired_loads") or 1
+        loads = replay.metric("retired_loads") or 1
         rows.append((name, {
             "IPC-sfc/mdt": sfc.ipc,
             "IPC-replay": replay.ipc,
             "replay/sfc": replay.ipc / sfc.ipc if sfc.ipc else 0.0,
-            "reexec/load":
-                replay.counters.get("lsq_retire_replays") / loads,
-            "late-violations":
-                replay.counters.get("retire_replay_violations"),
+            "reexec/load": replay.metric("lsq_retire_replays") / loads,
+            "late-violations": replay.metric("retire_replay_violations"),
         }))
     return FigureResult(
         "Section 4: completion-time (SFC/MDT) vs retirement-time "
         "(value-based replay) disambiguation, aggressive core",
         ["IPC-sfc/mdt", "IPC-replay", "replay/sfc", "reexec/load",
-         "late-violations"], rows)
+         "late-violations"], rows,
+        rate_series=["reexec/load", "late-violations"])
 
 
 def test_completion_beats_retirement_on_deep_windows(figure_bench):

@@ -7,7 +7,7 @@ for tracking performance regressions in the simulator.
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.harness import (
     aggressive_sfc_mdt_config,
     baseline_lsq_config,
@@ -26,7 +26,7 @@ def workload():
 
 
 def _simulate(prog, trace, config):
-    return Processor(prog, config, trace=trace).run()
+    return Core(prog, config, trace=trace).run()
 
 
 def test_throughput_baseline_lsq(benchmark, workload):

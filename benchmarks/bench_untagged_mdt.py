@@ -18,7 +18,7 @@ and the tagged variant through replays.
 """
 
 from repro.harness.configs import baseline_sfc_mdt_config
-from repro.harness.figures import FigureResult
+from repro.harness.figures import FigureResult, violation_pct
 
 BENCHMARKS = ("parser", "equake")
 MDT_SIZES = (4096, 256, 64)
@@ -34,20 +34,15 @@ def untagged_sweep(scale, runner):
                 config = baseline_sfc_mdt_config(
                     mdt_sets=sets, name=f"{label}{sets}")
                 config.mdt.tagged = tagged
-                result = runner.run(name, config)
-                retired = result.counters.get("retired_instructions") or 1
-                violations = (
-                    result.counters.get("violation_flushes_true") +
-                    result.counters.get("violation_flushes_anti") +
-                    result.counters.get("violation_flushes_output"))
-                values[f"IPC-{label}@{sets}"] = result.ipc
-                values[f"viol%-{label}@{sets}"] = \
-                    100.0 * violations / retired
+                record = runner.run(name, config)
+                values[f"IPC-{label}@{sets}"] = record.ipc
+                values[f"viol%-{label}@{sets}"] = violation_pct(record)
         rows.append((name, values))
     series = list(rows[0][1])
     return FigureResult(
         "Section 2.2: tagged vs untagged MDT across table sizes "
-        "(baseline core)", series, rows)
+        "(baseline core)", series, rows,
+        rate_series=[key for key in series if key.startswith("viol%")])
 
 
 def test_untagged_mdt_tradeoff(figure_bench):

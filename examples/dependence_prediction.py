@@ -10,7 +10,7 @@ dries up after the first few occurrences -- and the enforcement mode
 Run:  python examples/dependence_prediction.py
 """
 
-from repro import Assembler, Processor, run_program
+from repro import Assembler, Core, run_program
 from repro.harness import baseline_sfc_mdt_config
 from repro.harness.configs import ENF, NOT_ENF
 
@@ -44,7 +44,7 @@ def main():
 
     for mode in (ENF, NOT_ENF):
         config = baseline_sfc_mdt_config(mode=mode, name=mode)
-        result = Processor(program, config, trace=trace).run()
+        result = Core(program, config, trace=trace).run()
         c = result.counters
         print(f"=== predictor mode {mode} ===")
         print(f"  IPC                  {result.ipc:.3f}")

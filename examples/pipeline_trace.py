@@ -11,7 +11,7 @@ producer-set predictor serialising subsequent iterations.
 Run:  python examples/pipeline_trace.py
 """
 
-from repro import Processor
+from repro import Core
 from repro.harness import baseline_sfc_mdt_config
 from repro.isa import parse_asm
 from repro.pipeline import trace_run
@@ -35,7 +35,7 @@ loop:
 
 def main():
     program = parse_asm(KERNEL, name="trace-demo")
-    processor = Processor(program, baseline_sfc_mdt_config())
+    processor = Core(program, baseline_sfc_mdt_config())
     tracer = trace_run(processor)
 
     print("Per-instruction pipeline timeline "

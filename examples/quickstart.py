@@ -9,7 +9,7 @@ event counters that distinguish the two designs.
 Run:  python examples/quickstart.py
 """
 
-from repro import Assembler, Processor, run_program
+from repro import Assembler, Core, run_program
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 
 
@@ -39,7 +39,7 @@ def main():
           f"{len(trace)} dynamic instructions\n")
 
     for config in (baseline_lsq_config(), baseline_sfc_mdt_config()):
-        result = Processor(program, config, trace=trace).run()
+        result = Core(program, config, trace=trace).run()
         c = result.counters
         print(f"=== {config.name} ===")
         print(f"  IPC                 {result.ipc:.3f}   "

@@ -27,20 +27,20 @@ def main():
     for name in FIGURE5_BENCHMARKS:
         lsq = runner.run(name, lsq_config)
         sfc = runner.run(name, sfc_config)
-        c = sfc.counters
+        c = sfc.metric
         events = []
-        if c.get("store_replays_sfc_conflict"):
+        if c("store_replays_sfc_conflict"):
             events.append(
-                f"sfc-conflicts={c.get('store_replays_sfc_conflict'):.0f}")
-        if c.get("load_replays_mdt_conflict"):
+                f"sfc-conflicts={c('store_replays_sfc_conflict'):.0f}")
+        if c("load_replays_mdt_conflict"):
             events.append(
-                f"mdt-conflicts={c.get('load_replays_mdt_conflict'):.0f}")
-        if c.get("load_replays_sfc_corrupt"):
+                f"mdt-conflicts={c('load_replays_mdt_conflict'):.0f}")
+        if c("load_replays_sfc_corrupt"):
             events.append(
-                f"corrupt-replays={c.get('load_replays_sfc_corrupt'):.0f}")
-        violations = (c.get("violation_flushes_true") +
-                      c.get("violation_flushes_anti") +
-                      c.get("violation_flushes_output"))
+                f"corrupt-replays={c('load_replays_sfc_corrupt'):.0f}")
+        violations = (c("violation_flushes_true") +
+                      c("violation_flushes_anti") +
+                      c("violation_flushes_output"))
         if violations:
             events.append(f"violations={violations:.0f}")
         ratio = sfc.ipc / lsq.ipc if lsq.ipc else 0.0

@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro import Processor  # noqa: E402
+from repro import Core  # noqa: E402
 from repro.harness.configs import (  # noqa: E402
     aggressive_lsq_config,
     aggressive_sfc_mdt_config,
@@ -48,8 +48,8 @@ def grid_digest() -> str:
 def check_tracer_is_invisible() -> bool:
     """A sampled tracer must not change any architected outcome."""
     program = suites.build("gap", SCALE)
-    plain = Processor(program, baseline_sfc_mdt_config()).run()
-    traced_proc = Processor(program, baseline_sfc_mdt_config())
+    plain = Core(program, baseline_sfc_mdt_config()).run()
+    traced_proc = Core(program, baseline_sfc_mdt_config())
     PipeTracer(traced_proc, ring_size=64, epoch_cycles=100)
     traced = traced_proc.run()
     if plain.cycles != traced.cycles or \

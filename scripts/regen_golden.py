@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from repro import Processor  # noqa: E402
+from repro import Core  # noqa: E402
 from repro.harness import baseline_sfc_mdt_config  # noqa: E402
 from repro.obs.runrecord import RunRecord  # noqa: E402
 from repro.verify.litmus_oracle import run_litmus_test  # noqa: E402
@@ -29,16 +29,16 @@ GOLDEN_V3 = ROOT / "tests" / "data" / "runrecord_v3.golden.json"
 
 
 def main() -> int:
-    result = Processor(assemble(counted_loop_program),
-                       baseline_sfc_mdt_config()).run()
-    record = RunRecord.from_sim_result(result, benchmark="counted-loop")
+    result = Core(assemble(counted_loop_program),
+                  baseline_sfc_mdt_config()).run()
+    record = RunRecord.from_result(result, benchmark="counted-loop")
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(record.to_json(indent=2) + "\n")
     print(f"wrote {GOLDEN}")
 
     litmus = run_litmus_test("mp")
-    record_v3 = RunRecord.from_system_result(litmus.system_result,
-                                             benchmark="litmus-mp")
+    record_v3 = RunRecord.from_result(litmus.system_result,
+                                      benchmark="litmus-mp")
     GOLDEN_V3.write_text(record_v3.to_json(indent=2) + "\n")
     print(f"wrote {GOLDEN_V3}")
     return 0

@@ -15,7 +15,7 @@ Public API tour:
 
 Quick start::
 
-    from repro import Assembler, Processor
+    from repro import Assembler, Core
     from repro.harness import baseline_sfc_mdt_config
 
     a = Assembler()
@@ -24,7 +24,7 @@ Quick start::
     a.sd("r2", "r1")
     a.ld("r3", "r1")
     a.halt()
-    result = Processor(a.build(), baseline_sfc_mdt_config()).run()
+    result = Core(a.build(), baseline_sfc_mdt_config()).run()
     print(result.ipc)
 """
 
@@ -41,7 +41,7 @@ from .core import (
     StoreForwardingCache,
 )
 from .isa import Assembler, Instruction, Interpreter, Program, run_program
-from .pipeline import Processor, ProcessorConfig, SimResult, SimulationError
+from .pipeline import Core, ProcessorConfig, SimResult, SimulationError
 from . import api  # noqa: E402  (needs core/pipeline imported first)
 from .obs import METRICS, RunRecord
 
@@ -49,6 +49,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Assembler",
+    "Core",
     "Instruction",
     "Interpreter",
     "LSQConfig",
@@ -57,7 +58,6 @@ __all__ = [
     "METRICS",
     "MemoryDisambiguationTable",
     "PredictorConfig",
-    "Processor",
     "ProcessorConfig",
     "ProducerSetPredictor",
     "Program",

@@ -3,8 +3,8 @@
 The supported programmatic surface of the reproduction.  Everything here
 returns structured, schema-versioned results
 (:class:`~repro.obs.runrecord.RunRecord`) instead of simulator-internal
-objects, so callers no longer import from ``repro.pipeline.processor``
-or ``repro.harness`` internals:
+objects, so callers no longer import from ``repro.pipeline`` or
+``repro.harness`` internals:
 
 * :func:`simulate` -- one (benchmark, configuration) cell -> RunRecord;
 * :func:`simulate_sampled` -- the same cell under checkpointed
@@ -53,10 +53,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from .harness import configs as config_presets
 from .harness import figures
 from .harness.experiment import DEFAULT_SCALE, ExperimentRunner
-from .obs.runrecord import RunRecord
+from .obs.runrecord import RunRecord, records_from_manifest
 from .pipeline.config import ProcessorConfig, SystemConfig
+from .pipeline.core import Core
 from .pipeline.pipetrace import PipeTracer, trace_run
-from .pipeline.processor import Processor
 from .workloads import ALL_BENCHMARKS, litmus_benchmark_names, suites
 
 #: Named configuration presets (the CLI exposes exactly these).
@@ -148,8 +148,7 @@ def simulate(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
     :class:`ExperimentRunner` when none is supplied.
     """
     engine = _runner(scale, runner, **runner_kwargs)
-    engine.run(benchmark, resolve_config(config))
-    return engine.last_record()
+    return engine.run(benchmark, resolve_config(config))
 
 
 def simulate_sampled(benchmark: str,
@@ -245,10 +244,8 @@ def compare(benchmark: str,
     engine = _runner(scale, runner, **runner_kwargs)
     resolved = [resolve_config(config) for config in configs]
     grid = engine.run_suite([benchmark], resolved)
-    by_name = {record.config_name: record for record in engine.records()
-               if record.benchmark == benchmark}
-    return [by_name[config.name] for config in resolved if
-            (benchmark, config.name) in grid]
+    return [grid[(benchmark, config.name)] for config in resolved
+            if (benchmark, config.name) in grid]
 
 
 def run_suite(benchmarks: Optional[Sequence[str]] = None,
@@ -281,8 +278,7 @@ def run_suite(benchmarks: Optional[Sequence[str]] = None,
     start = len(engine.manifest)
     engine.run_suite(names, resolved, jobs=jobs,
                      cell_timeout=cell_timeout, max_retries=max_retries)
-    return [RunRecord.from_dict(entry)
-            for entry in engine.manifest[start:]]
+    return records_from_manifest(engine.manifest[start:])
 
 
 def run_figure(name: str, scale: int = 8_000,
@@ -333,7 +329,7 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
     program runs on the in-order interpreter first (the architectural
     oracle), then on the pipeline with golden-trace validation against
     that trace -- a divergence raises
-    :class:`~repro.pipeline.processor.SimulationError` rather than
+    :class:`~repro.pipeline.core.SimulationError` rather than
     returning a record.
     """
     from .isa.interp import Interpreter
@@ -342,13 +338,7 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
     program = Program.from_riscv(source, name=name)
     resolved = resolve_config(config)
     trace = Interpreter(program).run(max_instructions)
-    result = Processor(program, resolved, trace=trace).run()
-    return RunRecord(
-        benchmark=program.name, config_name=resolved.name,
-        config=resolved.to_dict(), scale=0, key="",
-        cycles=result.cycles, instructions=result.instructions,
-        ipc=result.instructions / result.cycles if result.cycles else 0.0,
-        counters=dict(result.counters.as_dict()))
+    return RunRecord.from_result(Core(program, resolved, trace=trace).run())
 
 
 def run_riscv_conformance(suite: str = "riscv-conformance",
@@ -392,8 +382,8 @@ def trace(benchmark: str, config: ConfigLike = "baseline-sfc-mdt",
     ``tracer.write_epochs(path)`` export the epoch time series.
     """
     program = suites.build(benchmark, scale)
-    processor = Processor(program, resolve_config(config))
-    return trace_run(processor, max_instructions=max_instructions,
+    core = Core(program, resolve_config(config))
+    return trace_run(core, max_instructions=max_instructions,
                      ring_size=ring_size, epoch_cycles=epoch_cycles)
 
 

@@ -510,9 +510,9 @@ def _cmd_run_litmus(args) -> int:
     if not _require_no_trace_flags(args):
         return 2
     result = run_litmus_test(test, api.resolve_config(args.config))
-    record = RunRecord.from_system_result(result.system_result,
-                                          benchmark=args.benchmark,
-                                          scale=args.scale)
+    record = RunRecord.from_result(result.system_result,
+                                   benchmark=args.benchmark,
+                                   scale=args.scale)
     if args.format == "json":
         _emit(_envelope("litmus-run", litmus=result.to_dict(),
                         run=record.to_dict()), args)

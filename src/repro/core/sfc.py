@@ -310,6 +310,7 @@ class StoreForwardingCache:
         value = 0
         consumed = 0
         valid_bytes = 0
+        partial = False
         remaining = size
         while remaining:
             nbytes = LINE_BYTES - offset
@@ -342,8 +343,9 @@ class StoreForwardingCache:
                               _SIZE_MASKS[nbytes]) << (8 * consumed)
                     valid_bytes += nbytes
                 elif have:
-                    self.counters.incr("sfc_partial_matches")
-                    return SFC_PARTIAL, None
+                    # Keep scanning: a corrupt byte in a later word
+                    # outranks this partial match.
+                    partial = True
             consumed += nbytes
             remaining -= nbytes
             word += 1
@@ -351,7 +353,7 @@ class StoreForwardingCache:
         if valid_bytes == size:
             self._c_forwards.value += 1
             return SFC_HIT, value
-        if valid_bytes:
+        if valid_bytes or partial:
             self.counters.incr("sfc_partial_matches")
             return SFC_PARTIAL, None
         return SFC_MISS, None

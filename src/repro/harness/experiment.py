@@ -20,7 +20,7 @@ One :class:`ExperimentRunner` owns three layers of reuse:
   re-simulated across runs, benches, or processes.
 
 The simulator is fully deterministic, so all three paths (serial,
-parallel, cached) produce identical :class:`SimResult` grids.
+parallel, cached) produce identical grids.
 
 Fault tolerance (``run_suite``)
 -------------------------------
@@ -48,14 +48,14 @@ dispatches cells with ``submit``/``wait`` instead of an eager ordered
   failure entries (``status`` failed/timeout, ``attempts``, ``error``)
   instead of raising away the rest of the grid.
 
-Every cell additionally appends one versioned
-:class:`~repro.obs.runrecord.RunRecord` dict to :attr:`ExperimentRunner.
-manifest` -- schema version, config dict, cycles, IPC, metric snapshot,
-wall-time, engine/cache provenance, and the fault-tolerance outcome --
-which the figure layer, the benches, ``repro.api``, and the CLI's
-``--format json`` all consume instead of ad-hoc prints (see
-:func:`repro.harness.figures.manifest_table` and
-:meth:`ExperimentRunner.records`).
+Every cell is one versioned :class:`~repro.obs.runrecord.RunRecord` --
+schema version, config dict, cycles, IPC, metric snapshot, wall-time,
+engine/cache provenance, and the fault-tolerance outcome.  ``run``,
+``run_system`` and ``run_sampled`` return it, ``run_suite`` returns a
+grid of them, and its dict is appended to :attr:`ExperimentRunner.
+manifest`; the figure layer, the benches, ``repro.api``, and the CLI's
+``--format json`` all consume these records instead of ad-hoc prints
+(see :func:`repro.harness.figures.manifest_table`).
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 from ..checkpoint.sampling import sample_run
 from ..checkpoint.store import CheckpointStore
@@ -80,9 +81,8 @@ from ..obs.runrecord import (
     RunRecord,
 )
 from ..pipeline.config import ProcessorConfig, SystemConfig
-from ..pipeline.processor import Processor, SimResult
+from ..pipeline.core import Core
 from ..pipeline.system import System
-from ..stats.counters import Counters
 from ..store import Namespace, content_key
 from ..workloads import litmus, suites
 
@@ -174,6 +174,21 @@ class ResultCache(Namespace):
         self._write(key, payload)
 
 
+def _payload(result, started: float, **extra) -> dict:
+    """The cacheable payload of one simulated cell -- a single-core,
+    N-core or sampled result -- timed from ``started``; ``extra`` adds
+    the kind's own fields (``cores``, ``sampling``)."""
+    return {
+        "format": CACHE_FORMAT,
+        "program_name": result.program_name,
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "counters": dict(result.counters),
+        "wall_time": time.perf_counter() - started,
+        **extra,
+    }
+
+
 def _simulate_cell(program: Program, trace: List[RetireRecord],
                    config: ProcessorConfig) -> dict:
     """Simulate one grid cell; returns the cacheable payload dict.
@@ -182,30 +197,7 @@ def _simulate_cell(program: Program, trace: List[RetireRecord],
     trace arrives prebuilt from the parent process.
     """
     started = time.perf_counter()
-    result = Processor(program, config, trace=trace).run()
-    return {
-        "format": CACHE_FORMAT,
-        "program_name": result.program_name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "counters": result.counters.as_dict(),
-        "wall_time": time.perf_counter() - started,
-    }
-
-
-def _simulate_system_cell(programs, traces, config: SystemConfig) -> dict:
-    """Simulate one N-core system cell; returns the cacheable payload."""
-    started = time.perf_counter()
-    result = System(programs, config, traces=traces).run()
-    return {
-        "format": CACHE_FORMAT,
-        "program_name": result.program_name,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "counters": dict(result.counters),
-        "wall_time": time.perf_counter() - started,
-        "cores": config.cores,
-    }
+    return _payload(Core(program, config, trace=trace).run(), started)
 
 
 class _Cell:
@@ -291,19 +283,25 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------ single cell
 
-    def run(self, benchmark: str, config: ProcessorConfig) -> SimResult:
-        """Simulate one benchmark under one configuration (serial,
-        in-process), consulting and filling the result cache."""
-        key = cache_key(benchmark, self.scale, config)
+    def _run_cell(self, benchmark: str, config, key: str,
+                  simulate: Callable[[], dict]) -> RunRecord:
+        """Serve one cell from the result cache, or ``simulate()`` its
+        payload and store it; record it either way."""
         payload = self.cache.load(key) if self.cache else None
         hit = payload is not None
         if payload is None:
-            payload = _simulate_cell(self.program(benchmark),
-                                     self.trace(benchmark), config)
+            payload = simulate()
             if self.cache:
                 self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit)
-        return self._rehydrate(config, payload)
+        return self._record(benchmark, config, payload, key, hit)
+
+    def run(self, benchmark: str, config: ProcessorConfig) -> RunRecord:
+        """Simulate one benchmark under one configuration (serial,
+        in-process), consulting and filling the result cache."""
+        return self._run_cell(
+            benchmark, config, cache_key(benchmark, self.scale, config),
+            lambda: _simulate_cell(self.program(benchmark),
+                                   self.trace(benchmark), config))
 
     def run_system(self, benchmark: str,
                    config: SystemConfig) -> RunRecord:
@@ -316,10 +314,7 @@ class ExperimentRunner:
         per-thread programs run over shared memory.  Cells consult and
         fill the same persistent result cache as single-core runs (the
         key hashes the full nested system config)."""
-        key = cache_key(benchmark, self.scale, config)
-        payload = self.cache.load(key) if self.cache else None
-        hit = payload is not None
-        if payload is None:
+        def simulate() -> dict:
             if litmus.is_litmus(benchmark):
                 test = litmus.get_litmus(benchmark)
                 if config.cores != test.cores:
@@ -335,12 +330,13 @@ class ExperimentRunner:
             else:
                 programs = [self.program(benchmark)] * config.cores
                 traces = [self.trace(benchmark)] * config.cores
-            payload = _simulate_system_cell(programs, traces, config)
-            if self.cache:
-                self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit,
-                     cores=config.cores)
-        return self.last_record()
+            started = time.perf_counter()
+            result = System(programs, config, traces=traces).run()
+            return _payload(result, started, cores=config.cores)
+
+        return self._run_cell(benchmark, config,
+                              cache_key(benchmark, self.scale, config),
+                              simulate)
 
     def run_sampled(self, benchmark: str, config: ProcessorConfig, *,
                     intervals: int = 10, warmup_insts: int = 1_000,
@@ -370,10 +366,8 @@ class ExperimentRunner:
             # Folded in only when present so pre-existing sampled-cell
             # cache keys stay byte-stable.
             params["horizon"] = horizon
-        key = cache_key(benchmark, self.scale, config, sampling=params)
-        payload = self.cache.load(key) if self.cache else None
-        hit = payload is not None
-        if payload is None:
+
+        def simulate() -> dict:
             program = self.program(benchmark)
             started = time.perf_counter()
             sampled = sample_run(
@@ -382,20 +376,13 @@ class ExperimentRunner:
                 checkpoint_every=checkpoint_every, warm=warm,
                 store=self._checkpoints, limit=TRACE_LIMIT,
                 horizon=horizon)
-            payload = {
-                "format": CACHE_FORMAT,
-                "program_name": program.name,
-                "cycles": sampled.cycles,
-                "instructions": sampled.instructions,
-                "counters": dict(sampled.counters),
-                "wall_time": time.perf_counter() - started,
-                "sampling": sampled.sampling_dict(),
-            }
-            if self.cache:
-                self.cache.store(key, payload)
-        self._record(benchmark, config, payload, key, hit,
-                     sampling=payload.get("sampling"))
-        return self.last_record()
+            return _payload(sampled, started,
+                            sampling=sampled.sampling_dict())
+
+        return self._run_cell(
+            benchmark, config,
+            cache_key(benchmark, self.scale, config, sampling=params),
+            simulate)
 
     # ------------------------------------------------------------ grids
 
@@ -404,7 +391,7 @@ class ExperimentRunner:
                   jobs: Optional[int] = None,
                   cell_timeout: Optional[float] = None,
                   max_retries: Optional[int] = None
-                  ) -> Dict[Tuple[str, str], SimResult]:
+                  ) -> Dict[Tuple[str, str], RunRecord]:
         """Run the full grid; keys are ``(benchmark, config.name)``.
 
         Cached cells are resolved up front; the remainder is simulated
@@ -427,7 +414,7 @@ class ExperimentRunner:
             else cell_timeout
         max_retries = self.max_retries if max_retries is None \
             else max_retries
-        results: Dict[Tuple[str, str], SimResult] = {}
+        results: Dict[Tuple[str, str], RunRecord] = {}
         cells: Dict[str, _Cell] = {}
         order: List[_Cell] = []
         for benchmark in benchmarks:
@@ -435,10 +422,8 @@ class ExperimentRunner:
                 key = cache_key(benchmark, self.scale, config)
                 payload = self.cache.load(key) if self.cache else None
                 if payload is not None:
-                    self._record(benchmark, config, payload, key, True,
-                                 jobs=jobs)
-                    results[(benchmark, config.name)] = \
-                        self._rehydrate(config, payload)
+                    results[(benchmark, config.name)] = self._record(
+                        benchmark, config, payload, key, True, jobs=jobs)
                     continue
                 cell = cells.get(key)
                 if cell is None:
@@ -481,7 +466,7 @@ class ExperimentRunner:
     # ------------------------------------------------------------ execution
 
     def _run_cells_serial(self, cells: List[_Cell],
-                          results: Dict[Tuple[str, str], SimResult],
+                          results: Dict[Tuple[str, str], RunRecord],
                           jobs: int, max_retries: int) -> None:
         """In-process execution with the same retry/failure-record
         semantics as the pool path (no timeout enforcement: a hang
@@ -508,7 +493,7 @@ class ExperimentRunner:
                     break
 
     def _run_cells_pool(self, cells: List[_Cell],
-                        results: Dict[Tuple[str, str], SimResult],
+                        results: Dict[Tuple[str, str], RunRecord],
                         jobs: int, cell_timeout: Optional[float],
                         max_retries: int) -> None:
         """Fault-tolerant ``submit``/``wait`` scheduler over a process
@@ -541,10 +526,7 @@ class ExperimentRunner:
                     proc.terminate()
                 except Exception:  # noqa: BLE001 -- already dying
                     pass
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except TypeError:  # Python < 3.9 signature
-                pool.shutdown(wait=False)
+            pool.shutdown(wait=False, cancel_futures=True)
             pool = None
 
         def recover_inflight() -> None:
@@ -667,10 +649,7 @@ class ExperimentRunner:
             self._run_cells_serial(remaining, results, jobs, max_retries)
         finally:
             if pool is not None:
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except TypeError:
-                    pool.shutdown(wait=False)
+                pool.shutdown(wait=False, cancel_futures=True)
 
     def _sleep_backoff(self, attempt: int) -> None:
         delay = self.retry_backoff * (2 ** (attempt - 1))
@@ -688,16 +667,6 @@ class ExperimentRunner:
         path.write_text(json.dumps(self.manifest, indent=2,
                                    sort_keys=True) + "\n")
         return path
-
-    def records(self) -> List[RunRecord]:
-        """Every completed cell as a validated :class:`RunRecord`."""
-        return [RunRecord.from_dict(entry) for entry in self.manifest]
-
-    def last_record(self) -> RunRecord:
-        """The most recently completed cell as a :class:`RunRecord`."""
-        if not self.manifest:
-            raise IndexError("no cells have completed yet")
-        return RunRecord.from_dict(self.manifest[-1])
 
     @property
     def cache_hits(self) -> int:
@@ -719,17 +688,16 @@ class ExperimentRunner:
     # ------------------------------------------------------------ internals
 
     def _finish_cell(self, cell: _Cell, payload: dict,
-                     results: Dict[Tuple[str, str], SimResult],
+                     results: Dict[Tuple[str, str], RunRecord],
                      jobs: int) -> None:
         """Checkpoint one completed cell immediately: persist to cache,
-        then record/rehydrate every (benchmark, config) alias."""
+        then record every (benchmark, config) alias."""
         if self.cache:
             self.cache.store(cell.key, payload)
         for config in cell.configs:
-            self._record(cell.benchmark, config, payload, cell.key, False,
-                         jobs=jobs, attempts=max(cell.attempts, 1))
-            results[(cell.benchmark, config.name)] = \
-                self._rehydrate(config, payload)
+            results[(cell.benchmark, config.name)] = self._record(
+                cell.benchmark, config, payload, cell.key, False,
+                jobs=jobs, attempts=max(cell.attempts, 1))
 
     def _fail_cell(self, cell: _Cell, status: str, jobs: int) -> None:
         """Record a structured failure entry for every alias of a cell
@@ -747,22 +715,20 @@ class ExperimentRunner:
                       f"{status.upper()} after {record.attempts} "
                       f"attempt(s): {cell.error}")
 
-    def _rehydrate(self, config: ProcessorConfig,
-                   payload: dict) -> SimResult:
-        return SimResult(payload["program_name"], config,
-                         payload["cycles"], payload["instructions"],
-                         Counters.from_dict(payload["counters"]))
-
     def _engine_provenance(self, jobs: Optional[int]) -> dict:
         return {"jobs": self.jobs if jobs is None else jobs,
                 "cache_enabled": self.cache is not None}
 
     def _record(self, benchmark: str, config,
                 payload: dict, key: str, hit: bool,
-                jobs: Optional[int] = None, attempts: int = 1,
-                cores: int = 1, sampling: Optional[dict] = None) -> None:
+                jobs: Optional[int] = None, attempts: int = 1
+                ) -> RunRecord:
+        """Append one completed cell's record to the manifest and return
+        it.  N-core payloads carry ``cores`` and sampled ones
+        ``sampling``."""
         cycles = payload["cycles"]
         instructions = payload["instructions"]
+        sampling = payload.get("sampling")
         if sampling is not None:
             # Sampled cell: the headline IPC is the per-interval mean
             # (the estimator the confidence interval is stated for),
@@ -785,17 +751,17 @@ class ExperimentRunner:
             engine=self._engine_provenance(jobs),
             status=STATUS_OK,
             attempts=attempts,
-            cores=cores,
+            cores=payload.get("cores", 1),
             sampling=sampling)
-        entry = record.to_dict()
-        self.manifest.append(entry)
+        self.manifest.append(record.to_dict())
         if self.verbose:
-            origin = "cache" if hit else f"{entry['wall_time']:.2f}s"
+            origin = "cache" if hit else f"{record.wall_time:.2f}s"
             print(f"  {benchmark:<10s} {config.name:<28s} "
-                  f"IPC={entry['ipc']:.3f} [{origin}]")
+                  f"IPC={record.ipc:.3f} [{origin}]")
+        return record
 
 
-def normalized_ipc(results: Dict[Tuple[str, str], SimResult],
+def normalized_ipc(results: Dict[Tuple[str, str], RunRecord],
                    benchmark: str, config_name: str,
                    baseline_name: str) -> float:
     """IPC of one run normalized to the baseline configuration's run."""
@@ -819,7 +785,7 @@ def geometric_mean(values: Iterable[float]) -> float:
     return product ** (1.0 / len(values))
 
 
-def suite_average(results: Dict[Tuple[str, str], SimResult],
+def suite_average(results: Dict[Tuple[str, str], RunRecord],
                   benchmarks: Iterable[str], config_name: str,
                   baseline_name: str) -> float:
     """Geometric mean of normalized IPCs over a benchmark list (0.0 if

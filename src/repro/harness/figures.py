@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.predictors import ENF, NOT_ENF, TOTAL
-from ..pipeline.processor import SimResult
+from ..obs.runrecord import RunRecord
 from ..power.energy import EnergyModel
 from ..workloads import suites
 from .configs import (
@@ -24,27 +24,36 @@ from .experiment import ExperimentRunner, geometric_mean, normalized_ipc
 
 
 class FigureResult:
-    """Rows of (benchmark, {series: value}) plus int/fp averages."""
+    """Rows of (benchmark, {series: value}) plus int/fp averages.
+
+    IPC-like series (IPC, normalized IPC, IPC or energy ratios) average
+    geometrically, so one failed (zero) cell poisons its average.  The
+    series named in ``rate_series`` -- rates, percentages and event
+    counts, where zero is a legitimate value -- average arithmetically.
+    """
 
     def __init__(self, title: str, series_names: Sequence[str],
-                 rows: List[Tuple[str, Dict[str, float]]]):
+                 rows: List[Tuple[str, Dict[str, float]]],
+                 rate_series: Sequence[str] = ()):
         self.title = title
         self.series_names = list(series_names)
         self.rows = rows
+        self.rate_series = frozenset(rate_series)
 
     def averages(self) -> List[Tuple[str, Dict[str, float]]]:
-        """Geometric-mean rows for the int and fp subsets present."""
+        """Average rows for the int and fp subsets present."""
         out = []
+        table = dict(self.rows)
         for label, subset in (("int avg", suites.INT_BENCHMARKS),
                               ("fp avg", suites.FP_BENCHMARKS)):
             names = [b for b, _ in self.rows if b in subset]
             if not names:
                 continue
-            values = {
-                series: geometric_mean(
-                    dict(self.rows)[b][series] for b in names)
-                for series in self.series_names
-            }
+            values = {}
+            for series in self.series_names:
+                column = [table[b][series] for b in names]
+                values[series] = sum(column) / len(column) \
+                    if series in self.rate_series else geometric_mean(column)
             out.append((label, values))
         return out
 
@@ -98,6 +107,14 @@ def manifest_table(runner: ExperimentRunner) -> str:
         summary += f", {runner.failures} failed"
     lines.append(summary)
     return "\n".join(lines)
+
+
+def violation_pct(record: RunRecord) -> float:
+    """Memory-ordering violation flushes per retired instruction, in %."""
+    violations = (record.metric("violation_flushes_true") +
+                  record.metric("violation_flushes_anti") +
+                  record.metric("violation_flushes_output"))
+    return 100.0 * violations / (record.metric("retired_instructions") or 1)
 
 
 def figure5(scale: int = 20_000,
@@ -173,14 +190,6 @@ def enf_ablation(scale: int = 20_000,
         not_enf = results[(benchmark, "NOT-ENF")]
         enf = results[(benchmark, "ENF")]
 
-        def violation_pct(result: SimResult) -> float:
-            violations = (
-                result.counters.get("violation_flushes_true") +
-                result.counters.get("violation_flushes_anti") +
-                result.counters.get("violation_flushes_output"))
-            retired = result.counters.get("retired_instructions") or 1
-            return 100.0 * violations / retired
-
         rows.append((benchmark, {
             "ENF/NOT-ENF": enf.ipc / not_enf.ipc if not_enf.ipc else 0.0,
             "viol%-NOT-ENF": violation_pct(not_enf),
@@ -188,7 +197,8 @@ def enf_ablation(scale: int = 20_000,
         }))
     return FigureResult(
         "Section 3.2: dependence enforcement ablation (aggressive core)",
-        ["ENF/NOT-ENF", "viol%-NOT-ENF", "viol%-ENF"], rows)
+        ["ENF/NOT-ENF", "viol%-NOT-ENF", "viol%-ENF"], rows,
+        rate_series=["viol%-NOT-ENF", "viol%-ENF"])
 
 
 def associativity_sweep(scale: int = 20_000,
@@ -206,19 +216,20 @@ def associativity_sweep(scale: int = 20_000,
         for assoc in assocs:
             config = aggressive_sfc_mdt_config(
                 sfc_assoc=assoc, mdt_assoc=assoc, name=f"assoc{assoc}")
-            result = runner.run(benchmark, config)
-            loads = result.counters.get("retired_loads") or 1
-            stores = result.counters.get("retired_stores") or 1
-            values[f"IPC@{assoc}"] = result.ipc
+            record = runner.run(benchmark, config)
+            loads = record.metric("retired_loads") or 1
+            stores = record.metric("retired_stores") or 1
+            values[f"IPC@{assoc}"] = record.ipc
             values[f"ld-replay@{assoc}"] = \
-                result.counters.get("load_replays_mdt_conflict") / loads
+                record.metric("load_replays_mdt_conflict") / loads
             values[f"st-replay@{assoc}"] = \
-                result.counters.get("store_replays_sfc_conflict") / stores
+                record.metric("store_replays_sfc_conflict") / stores
         rows.append((benchmark, values))
     series = [key for key in rows[0][1]]
     return FigureResult(
         "Section 3.2: SFC/MDT associativity sweep (aggressive core)",
-        series, rows)
+        series, rows,
+        rate_series=[key for key in series if "replay" in key])
 
 
 def corruption_rates(scale: int = 20_000,
@@ -232,17 +243,18 @@ def corruption_rates(scale: int = 20_000,
     config = aggressive_sfc_mdt_config()
     rows = []
     for benchmark in benchmarks:
-        result = runner.run(benchmark, config)
-        loads = result.counters.get("retired_loads") or 1
+        record = runner.run(benchmark, config)
+        loads = record.metric("retired_loads") or 1
         rows.append((benchmark, {
             "corrupt-replays/load":
-                result.counters.get("load_replays_sfc_corrupt") / loads,
-            "IPC": result.ipc,
+                record.metric("load_replays_sfc_corrupt") / loads,
+            "IPC": record.ipc,
         }))
     return FigureResult(
         "Section 3.2: SFC corruption replays per retired load "
         "(aggressive core)",
-        ["corrupt-replays/load", "IPC"], rows)
+        ["corrupt-replays/load", "IPC"], rows,
+        rate_series=["corrupt-replays/load"])
 
 
 def granularity_sweep(scale: int = 20_000,
@@ -264,18 +276,15 @@ def granularity_sweep(scale: int = 20_000,
         for granularity in granularities:
             config = baseline_sfc_mdt_config(
                 mdt_granularity=granularity, name=f"gran{granularity}")
-            result = runner.run(benchmark, config)
-            retired = result.counters.get("retired_instructions") or 1
-            violations = (
-                result.counters.get("violation_flushes_true") +
-                result.counters.get("violation_flushes_anti") +
-                result.counters.get("violation_flushes_output"))
-            values[f"IPC@{granularity}B"] = result.ipc
-            values[f"viol%@{granularity}B"] = 100.0 * violations / retired
+            record = runner.run(benchmark, config)
+            values[f"IPC@{granularity}B"] = record.ipc
+            values[f"viol%@{granularity}B"] = violation_pct(record)
         rows.append((benchmark, values))
     series = [key for key in rows[0][1]]
     return FigureResult("Section 2.2: MDT granularity sweep (baseline core)",
-                        series, rows)
+                        series, rows,
+                        rate_series=[key for key in series
+                                     if key.startswith("viol%")])
 
 
 def power_comparison(scale: int = 20_000,

@@ -194,31 +194,19 @@ class RunRecord:
                    sampling=payload.get("sampling"))
 
     @classmethod
-    def from_sim_result(cls, result, benchmark: Optional[str] = None,
-                        scale: int = 0, wall_time: float = 0.0
-                        ) -> "RunRecord":
-        """Wrap a bare :class:`~repro.pipeline.processor.SimResult`
-        (direct ``Processor`` use, outside the experiment engine)."""
+    def from_result(cls, result, benchmark: Optional[str] = None,
+                    scale: int = 0) -> "RunRecord":
+        """Wrap a result simulated outside the experiment engine: a
+        single-core :class:`~repro.pipeline.core.SimResult` or an N-core
+        :class:`~repro.pipeline.system.SystemResult` (schema v3 when
+        ``cores > 1``)."""
+        config = result.config
         return cls(benchmark=benchmark or result.program_name,
-                   config_name=result.config.name,
-                   config=result.config.to_dict(), scale=scale, key="",
-                   cycles=result.cycles, instructions=result.instructions,
-                   ipc=result.ipc, counters=result.counters.as_dict(),
-                   wall_time=wall_time, cache_hit=False, engine={})
-
-    @classmethod
-    def from_system_result(cls, result, benchmark: Optional[str] = None,
-                           scale: int = 0, wall_time: float = 0.0,
-                           key: str = "") -> "RunRecord":
-        """Wrap an N-core :class:`~repro.pipeline.system.SystemResult`
-        (serializes as schema v3 when ``cores > 1``)."""
-        return cls(benchmark=benchmark or result.program_name,
-                   config_name=result.config.name,
-                   config=result.config.to_dict(), scale=scale, key=key,
-                   cycles=result.cycles, instructions=result.instructions,
-                   ipc=result.ipc, counters=dict(result.counters),
-                   wall_time=wall_time, cache_hit=False, engine={},
-                   cores=result.config.cores)
+                   config_name=config.name, config=config.to_dict(),
+                   scale=scale, key="", cycles=result.cycles,
+                   instructions=result.instructions, ipc=result.ipc,
+                   counters=dict(result.counters),
+                   cores=getattr(config, "cores", 1))
 
     @classmethod
     def failure(cls, benchmark: str, config_name: str, config: dict,

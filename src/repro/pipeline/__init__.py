@@ -4,10 +4,9 @@ from .config import (MEMORY_MODES, MEMORY_PRIVATE, MEMORY_SHARED,
                      SUBSYSTEM_LOAD_REPLAY, SUBSYSTEM_LSQ,
                      SUBSYSTEM_SFC_MDT, CoreConfig, ProcessorConfig,
                      SystemConfig)
-from .core import Core
+from .core import Core, SimResult, SimulationError
 from .dyninst import DynInst
 from .pipetrace import InstructionTrace, PipeTracer, trace_run
-from .processor import Processor, SimResult, SimulationError
 from .rename import RenameError, RenameTable
 from .scheduler import Scheduler
 from .system import System, SystemResult
@@ -22,7 +21,6 @@ __all__ = [
     "InstructionTrace",
     "PipeTracer",
     "trace_run",
-    "Processor",
     "ProcessorConfig",
     "RenameError",
     "RenameTable",

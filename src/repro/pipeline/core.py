@@ -21,15 +21,15 @@ Stage order within :meth:`Core.step` (one simulated cycle):
 A :class:`Core` owns every *per-core* structure (fetch state, rename
 table, scheduler, ROB, store FIFO, SFC/MDT subsystem, gshare, counters)
 but its architectural memory image and cache hierarchy are injectable:
-standalone (the :class:`~repro.pipeline.processor.Processor` single-core
-path) it builds a private :class:`~repro.memory.main_memory.MainMemory`
-and the paper's hierarchy; under a
-:class:`~repro.pipeline.system.System` it is handed a shared image
+standalone (the single-core path) it builds a private
+:class:`~repro.memory.main_memory.MainMemory` and the paper's hierarchy;
+under a :class:`~repro.pipeline.system.System` it is handed a shared image
 and a per-core hierarchy over a shared L2 instead.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -135,16 +135,6 @@ class SimResult:
 
     def rate(self, numerator: str, denominator: str) -> float:
         return self.counters.rate(numerator, denominator)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (result cache / run manifests)."""
-        return {
-            "program_name": self.program_name,
-            "config": self.config.to_dict(),
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "counters": self.counters.as_dict(),
-        }
 
     def __repr__(self) -> str:
         return (f"SimResult({self.program_name} on {self.config.name}: "
@@ -263,14 +253,7 @@ class Core:
 
     def run(self) -> SimResult:
         """Simulate until the program's HALT retires."""
-        max_cycles = self.config.max_cycles
-        while not self.done:
-            if self.cycle > max_cycles:
-                raise SimulationError(
-                    f"exceeded {max_cycles} cycles "
-                    f"({self.retired}/{len(self.trace)} retired; "
-                    f"rob head={self.rob[0] if self.rob else None})")
-            self.step()
+        self._step_until(math.inf)
         return self.finalize()
 
     def run_until(self, retired_target: int) -> None:
@@ -279,6 +262,11 @@ class Core:
         detailed window into a discarded warm-up span and a measured
         span; call :meth:`finalize` (or read counters directly) after the
         last window."""
+        self._step_until(retired_target)
+
+    def _step_until(self, retired_target: float) -> None:
+        """The cycle loop behind :meth:`run` and :meth:`run_until`,
+        guarded by ``config.max_cycles``."""
         max_cycles = self.config.max_cycles
         while not self.done and self.retired < retired_target:
             if self.cycle > max_cycles:

@@ -1,7 +1,7 @@
 """Pipeline event tracing ("pipetrace") for debugging and time series.
 
-Attach a :class:`PipeTracer` to a :class:`~repro.pipeline.processor.Processor`
-to record, for every dynamic instruction, the cycles at which it was
+Attach a :class:`PipeTracer` to a :class:`~repro.pipeline.core.Core` to
+record, for every dynamic instruction, the cycles at which it was
 dispatched, issued, completed, squashed, or retired, plus memory-unit
 events (replays with their reasons, violations).  The collected trace can
 be rendered as a classic timeline:
@@ -31,8 +31,8 @@ import json
 from collections import deque
 from typing import Deque, Dict, List, Optional, Union
 
+from .core import Core
 from .dyninst import DynInst
-from .processor import Processor
 
 
 class InstructionTrace:
@@ -153,7 +153,7 @@ class PipeTracer:
     ``max_instructions``) behaviour.
     """
 
-    def __init__(self, processor: Processor,
+    def __init__(self, processor: Core,
                  max_instructions: int = 100_000,
                  ring_size: Optional[int] = None,
                  epoch_cycles: Optional[int] = None):
@@ -175,7 +175,7 @@ class PipeTracer:
 
     # -- hook installation ----------------------------------------------------
 
-    def _install(self, proc: Processor) -> None:
+    def _install(self, proc: Core) -> None:
         orig_dispatch = proc._dispatch
         orig_execute = proc._execute
         orig_complete = proc._complete
@@ -330,7 +330,7 @@ class PipeTracer:
             handle.write(text + ("\n" if text else ""))
 
 
-def trace_run(processor: Processor,
+def trace_run(processor: Core,
               max_instructions: int = 100_000,
               ring_size: Optional[int] = None,
               epoch_cycles: Optional[int] = None) -> PipeTracer:

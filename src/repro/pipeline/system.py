@@ -60,17 +60,6 @@ class SystemResult:
         """Aggregate system IPC (all cores' retirements per cycle)."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (result cache / run manifests)."""
-        return {
-            "program_name": self.program_name,
-            "config": self.config.to_dict(),
-            "cores": self.config.cores,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "counters": dict(self.counters),
-        }
-
     def __repr__(self) -> str:
         return (f"SystemResult({self.program_name} on "
                 f"{self.config.name}: {self.config.cores} cores, "

@@ -15,13 +15,14 @@ ratio is configurable so the conclusion can be stress-tested.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..stats.counters import Counters
+from typing import Dict, Mapping
 
 
 class EnergyModel:
-    """Charges per-event energy costs against a simulation's counters."""
+    """Charges per-event energy costs against a simulation's counters:
+    any name -> count mapping (a :class:`~repro.stats.counters.Counters`
+    registry or a RunRecord's ``counters`` dict), where an event that
+    never fired may be absent and reads as zero."""
 
     def __init__(self, ram_read_energy: float = 1.0,
                  ram_write_energy: float = 1.0,
@@ -32,19 +33,21 @@ class EnergyModel:
         #: (tag compare + match line + its share of priority encoding).
         self.cam_entry_search_energy = cam_entry_search_energy
 
-    def lsq_energy(self, counters: Counters) -> Dict[str, float]:
+    def lsq_energy(self, counters: Mapping[str, float]
+                   ) -> Dict[str, float]:
         """Energy of LSQ forwarding + disambiguation for one run."""
-        search = (counters.get("lsq_sq_entries_searched") +
-                  counters.get("lsq_lq_entries_searched")) \
+        search = (counters.get("lsq_sq_entries_searched", 0.0) +
+                  counters.get("lsq_lq_entries_searched", 0.0)) \
             * self.cam_entry_search_energy
-        writes = (counters.get("lsq_load_searches") +
-                  counters.get("lsq_store_searches")) \
+        writes = (counters.get("lsq_load_searches", 0.0) +
+                  counters.get("lsq_store_searches", 0.0)) \
             * self.ram_write_energy
         total = search + writes
         return {"search_energy": search, "write_energy": writes,
                 "total_energy": total}
 
-    def sfc_mdt_energy(self, counters: Counters) -> Dict[str, float]:
+    def sfc_mdt_energy(self, counters: Mapping[str, float]
+                       ) -> Dict[str, float]:
         """Energy of SFC + MDT forwarding + disambiguation for one run."""
         # Each SFC/MDT access touches one set: ``assoc`` tag compares plus
         # one data read/write; we charge one RAM read per way probed plus
@@ -52,20 +55,21 @@ class EnergyModel:
         # counters by using 2 probes per access (the paper's 2-way
         # configurations).
         probes_per_access = 2.0
-        reads = (counters.get("sfc_load_lookups") +
-                 counters.get("mdt_load_accesses") +
-                 counters.get("mdt_store_accesses")) \
+        reads = (counters.get("sfc_load_lookups", 0.0) +
+                 counters.get("mdt_load_accesses", 0.0) +
+                 counters.get("mdt_store_accesses", 0.0)) \
             * probes_per_access * self.ram_read_energy
-        writes = (counters.get("sfc_store_writes") +
-                  counters.get("mdt_load_accesses") +
-                  counters.get("mdt_store_accesses")) \
+        writes = (counters.get("sfc_store_writes", 0.0) +
+                  counters.get("mdt_load_accesses", 0.0) +
+                  counters.get("mdt_store_accesses", 0.0)) \
             * self.ram_write_energy
         total = reads + writes
         return {"search_energy": reads, "write_energy": writes,
                 "total_energy": total}
 
-    def compare(self, lsq_counters: Counters,
-                sfc_mdt_counters: Counters) -> Dict[str, float]:
+    def compare(self, lsq_counters: Mapping[str, float],
+                sfc_mdt_counters: Mapping[str, float]
+                ) -> Dict[str, float]:
         """Energy ratio LSQ / (SFC+MDT) for paired runs of one workload."""
         lsq = self.lsq_energy(lsq_counters)["total_energy"]
         sfc_mdt = self.sfc_mdt_energy(sfc_mdt_counters)["total_energy"]

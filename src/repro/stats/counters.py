@@ -84,9 +84,9 @@ class Counters:
         cell.value = value
         self._explicit.add(name)
 
-    def get(self, name: str) -> float:
+    def get(self, name: str, default: float = 0.0) -> float:
         cell = self._cells.get(name)
-        return cell.value if cell is not None else 0.0
+        return cell.value if cell is not None else default
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
@@ -118,6 +118,11 @@ class Counters:
 
     def items(self) -> Iterator[Tuple[str, float]]:
         return iter(sorted(self._visible()))
+
+    def keys(self) -> List[str]:
+        """Visible counter names, so ``dict(counters)`` equals
+        :meth:`as_dict` and any mapping consumer can read a registry."""
+        return [name for name, _ in self._visible()]
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self._visible())

@@ -29,7 +29,7 @@ from ..harness.configs import fuzz_config_matrix
 from ..isa.interp import Interpreter
 from ..obs.runrecord import SCHEMA_VERSION, RunRecord
 from ..pipeline.config import ProcessorConfig
-from ..pipeline.processor import Processor, SimulationError
+from ..pipeline.core import Core, SimulationError
 from ..workloads import suites
 
 #: ``kind`` discriminator for conformance report envelopes.
@@ -182,7 +182,7 @@ def run_conformance(suite_name: str = "riscv-conformance",
         }
         for config in configs:
             try:
-                core = Processor(program, config, trace=trace)
+                core = Core(program, config, trace=trace)
                 result = core.run()
             except SimulationError as exc:
                 report.cells.append(ConformanceCell(

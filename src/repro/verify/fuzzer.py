@@ -41,7 +41,7 @@ from ..isa.interp import ExecutionLimitExceeded, Interpreter
 from ..isa.program import Program
 from ..obs.runrecord import KIND_FUZZ, SCHEMA_VERSION
 from ..pipeline.config import ProcessorConfig
-from ..pipeline.processor import Processor, SimulationError
+from ..pipeline.core import Core, SimulationError
 from . import frontends
 
 #: Architectural execution budget per generated program.
@@ -194,7 +194,7 @@ class DifferentialFuzzer:
         results = {}
         for config in self.configs:
             try:
-                processor = Processor(program, config, trace=trace)
+                processor = Core(program, config, trace=trace)
                 result = processor.run()
             except SimulationError as exc:
                 mismatches.append(FuzzMismatch(
@@ -219,7 +219,7 @@ class DifferentialFuzzer:
                     f"{counters.get('retired_stores', 0)} stores, oracle "
                     f"has {oracle_loads}/{oracle_stores}"))
             if self.check_determinism:
-                rerun = Processor(program, config, trace=trace).run()
+                rerun = Core(program, config, trace=trace).run()
                 if rerun.cycles != result.cycles or \
                         _counters_subset(rerun) != counters:
                     mismatches.append(FuzzMismatch(

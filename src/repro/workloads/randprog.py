@@ -10,7 +10,7 @@ execution and partial flushes).
 The property under test: for any generated program, the out-of-order
 pipeline retires exactly the architectural trace, under every memory
 subsystem configuration.  The pipeline itself enforces this (retirement
-validation raises :class:`~repro.pipeline.processor.SimulationError`), so
+validation raises :class:`~repro.pipeline.core.SimulationError`), so
 the property test only needs to run programs to completion.
 """
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.api import CONFIGS, FIGURES
 from repro.cli import main
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
@@ -15,8 +15,8 @@ from tests.conftest import assemble, counted_loop_program
 
 
 def record_of(build_fn, config):
-    result = Processor(assemble(build_fn), config).run()
-    return RunRecord.from_sim_result(result, benchmark="inline")
+    result = Core(assemble(build_fn), config).run()
+    return RunRecord.from_result(result, benchmark="inline")
 
 
 class TestReport:

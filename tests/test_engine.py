@@ -32,11 +32,11 @@ def configs():
 
 
 def grid_snapshot(results):
-    """Comparable view of a result grid: every architected number."""
+    """Comparable view of a RunRecord grid: every architected number."""
     return {
-        f"{benchmark}/{name}": (result.cycles, result.instructions,
-                                sorted(result.counters.as_dict().items()))
-        for (benchmark, name), result in results.items()
+        f"{benchmark}/{name}": (record.cycles, record.instructions,
+                                record.ipc, sorted(record.counters.items()))
+        for (benchmark, name), record in results.items()
     }
 
 
@@ -378,6 +378,65 @@ class TestEngineGrids:
         assert all(e["status"] == "ok" for e in serial.manifest)
 
 
+def _cells_run(runner):
+    return [runner.run("gap", baseline_lsq_config())]
+
+
+def _cells_run_system(runner):
+    config = SystemConfig(baseline_sfc_mdt_config(), cores=2,
+                          memory_mode="private")
+    return [runner.run_system("gap", config)]
+
+
+def _cells_run_sampled(runner):
+    return [runner.run_sampled("gzip", baseline_sfc_mdt_config(),
+                               intervals=2, warmup_insts=100,
+                               interval_insts=300)]
+
+
+def _cells_run_suite_serial(runner):
+    return list(runner.run_suite(BENCHMARKS, configs(), jobs=1).values())
+
+
+def _cells_run_suite_pool(runner):
+    return list(runner.run_suite(BENCHMARKS, configs(), jobs=2).values())
+
+
+class TestOneCellPath:
+    """Every entry point returns the very RunRecord it appends to the
+    manifest, and a warm-cache repeat returns an equal record."""
+
+    KINDS = [_cells_run, _cells_run_system, _cells_run_sampled,
+             _cells_run_suite_serial, _cells_run_suite_pool]
+
+    @staticmethod
+    def stable(records):
+        """Record dicts minus what a cache hit may change, in grid
+        order (a pool completes cells in any order)."""
+        out = []
+        for record in records:
+            entry = record.to_dict()
+            entry.pop("cache_hit")
+            entry.pop("wall_time")
+            out.append(entry)
+        return sorted(out, key=lambda e: (e["benchmark"],
+                                          e["config_name"]))
+
+    @pytest.mark.parametrize("cells", KINDS,
+                             ids=lambda fn: fn.__name__[len("_cells_"):])
+    def test_returned_record_is_manifest_entry(self, tmp_path, cells):
+        cold = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        records = cells(cold)
+        assert records and all(not r.cache_hit for r in records)
+        assert [r.to_dict() for r in records] == cold.manifest
+
+        warm = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)
+        again = cells(warm)
+        assert all(r.cache_hit for r in again)
+        assert [r.to_dict() for r in again] == warm.manifest
+        assert self.stable(again) == self.stable(records)
+
+
 class TestBatchDedup:
     def test_identical_duplicate_configs_simulate_once(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE, use_cache=False)
@@ -453,7 +512,7 @@ class TestManifest:
         assert entry["config"] == baseline_lsq_config().to_dict()
         assert entry["cycles"] == result.cycles
         assert entry["ipc"] == pytest.approx(result.ipc)
-        assert entry["counters"] == result.counters.as_dict()
+        assert entry["counters"] == result.counters
         assert entry["wall_time"] > 0
         assert entry["cache_hit"] is False
         assert entry["key"] == cache_key("gap", SCALE,

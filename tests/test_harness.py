@@ -95,9 +95,9 @@ class TestExperimentRunner:
 
     def test_run_produces_result(self):
         runner = ExperimentRunner(scale=1500)
-        result = runner.run("gap", baseline_lsq_config())
-        assert result.ipc > 0
-        assert result.program_name == "gap"
+        record = runner.run("gap", baseline_lsq_config())
+        assert record.ipc > 0
+        assert record.benchmark == "gap"
 
     def test_run_suite_grid(self):
         runner = ExperimentRunner(scale=1500)
@@ -156,3 +156,19 @@ class TestFigureResult:
             [("gap", {"a": 2.0}), ("crafty", {"a": 8.0})])
         assert figure.value("gap", "a") == 2.0
         assert figure.average("int avg", "a") == pytest.approx(4.0)
+
+    def test_rate_series_average_arithmetically(self):
+        """A rate column with a legitimate zero row averages to its
+        arithmetic mean; an IPC column with a zero (a failed cell) still
+        poisons its geometric mean to 0.0."""
+        figure = FigureResult(
+            "demo", ["IPC", "viol%"],
+            [("gap", {"IPC": 1.2, "viol%": 0.0}),
+             ("crafty", {"IPC": 0.0, "viol%": 0.6}),
+             ("swim", {"IPC": 2.0, "viol%": 0.0}),
+             ("art", {"IPC": 0.5, "viol%": 0.4})],
+            rate_series=["viol%"])
+        assert figure.average("int avg", "viol%") == pytest.approx(0.3)
+        assert figure.average("fp avg", "viol%") == pytest.approx(0.2)
+        assert figure.average("int avg", "IPC") == 0.0
+        assert figure.average("fp avg", "IPC") == pytest.approx(1.0)

@@ -1,6 +1,6 @@
 """Tests for the value-based retirement-replay subsystem (paper §4)."""
 
-from repro import Processor, run_program
+from repro import Core, run_program
 from repro.core import LoadReplaySubsystem, LSQConfig
 from repro.harness import aggressive_load_replay_config
 from repro.harness.configs import SUBSYSTEM_LOAD_REPLAY
@@ -80,16 +80,16 @@ class TestPipeline:
         assert (config.lsq.lq_size, config.lsq.sq_size) == (120, 80)
 
     def test_counted_loop_runs_exactly(self):
-        result = Processor(assemble(counted_loop_program),
-                           baseline_load_replay_config()).run()
+        result = Core(assemble(counted_loop_program),
+                      baseline_load_replay_config()).run()
         assert result.instructions > 0
 
     def test_random_programs_retire_exactly(self):
         for seed in (5, 55, 555):
             prog = random_program(seed, max_blocks=15)
             trace = run_program(prog, 500_000)
-            Processor(prog, aggressive_load_replay_config(),
-                      trace=trace).run()
+            Core(prog, aggressive_load_replay_config(),
+                 trace=trace).run()
 
     def test_violation_detected_at_retirement(self):
         """A late store is only caught when the stale load retires."""
@@ -107,12 +107,12 @@ class TestPipeline:
             a.addi("r2", "r2", 1)
             a.bne("r2", "r3", "loop")
             a.halt()
-        result = Processor(assemble(build),
-                           baseline_load_replay_config()).run()
+        result = Core(assemble(build),
+                      baseline_load_replay_config()).run()
         assert result.counters.get("retire_replay_violations") >= 1
 
     def test_reexecution_traffic_counted(self):
-        result = Processor(assemble(counted_loop_program),
-                           baseline_load_replay_config()).run()
+        result = Core(assemble(counted_loop_program),
+                      baseline_load_replay_config()).run()
         assert result.counters.get("lsq_retire_replays") == \
             result.counters.get("retired_loads")

@@ -1,7 +1,7 @@
 """Tests for the small supporting modules: counters, violations, program
 padding, and assorted pipeline edge cases."""
 
-from repro import Processor
+from repro import Core
 from repro.core import ANTI_DEP, TRUE_DEP, Violation
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.isa import INSTRUCTION_BYTES, Program
@@ -106,7 +106,7 @@ class TestPipelineEdgeCases:
             a.jal("r0", "next")      # call that discards the link
             a.label("next")
             a.halt()
-        result = Processor(assemble(build), any_config).run()
+        result = Core(assemble(build), any_config).run()
         assert result.instructions == 2
 
     def test_division_heavy_program(self, any_config):
@@ -118,7 +118,7 @@ class TestPipelineEdgeCases:
             a.div("r5", "r1", "r0")   # division by zero
             a.rem("r6", "r1", "r0")
             a.halt()
-        Processor(assemble(build), any_config).run()
+        Core(assemble(build), any_config).run()
 
     def test_store_to_load_different_widths(self):
         """Narrow store under a wide in-flight store (partial coverage)."""
@@ -131,7 +131,7 @@ class TestPipelineEdgeCases:
             a.ld("r4", "r1", 0)
             a.halt()
         for config in (baseline_lsq_config(), baseline_sfc_mdt_config()):
-            Processor(assemble(build), config).run()
+            Core(assemble(build), config).run()
 
     def test_back_to_back_branches(self, any_config):
         def build(a):
@@ -142,7 +142,7 @@ class TestPipelineEdgeCases:
             a.li("r2", 9)
             a.label("b")
             a.halt()
-        Processor(assemble(build), any_config).run()
+        Core(assemble(build), any_config).run()
 
     def test_self_modifying_address_patterns(self, any_config):
         """Loads whose base registers come from other loads."""
@@ -153,7 +153,7 @@ class TestPipelineEdgeCases:
             a.ld("r2", "r1", 0)     # pointer load
             a.ld("r3", "r2", 0)     # dependent load
             a.halt()
-        Processor(assemble(build), any_config).run()
+        Core(assemble(build), any_config).run()
 
     def test_long_quiet_stretch_uses_clock_skip(self):
         """A cold L2 miss leaves the machine idle; the clock must skip."""
@@ -162,11 +162,11 @@ class TestPipelineEdgeCases:
             a.ld("r2", "r1", 0)     # cold: 111 cycles
             a.add("r3", "r2", "r2")
             a.halt()
-        result = Processor(assemble(build), baseline_lsq_config()).run()
+        result = Core(assemble(build), baseline_lsq_config()).run()
         assert result.counters.get("idle_cycles_skipped") > 50
 
     def test_counters_exposed_on_result(self):
-        result = Processor(assemble(lambda a: a.halt()),
-                           baseline_lsq_config()).run()
+        result = Core(assemble(lambda a: a.halt()),
+                      baseline_lsq_config()).run()
         assert result.counters.get("retired_instructions") == 1
         assert result.counters.get("cycles") == result.cycles

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.harness.experiment import ExperimentRunner
 from repro.obs.metrics import (
@@ -33,9 +33,9 @@ GOLDEN_V3 = Path(__file__).parent / "data" / "runrecord_v3.golden.json"
 
 def golden_record() -> RunRecord:
     """A fully deterministic record (fixed workload, no wall-clock)."""
-    result = Processor(assemble(counted_loop_program),
-                       baseline_sfc_mdt_config()).run()
-    return RunRecord.from_sim_result(result, benchmark="counted-loop")
+    result = Core(assemble(counted_loop_program),
+                  baseline_sfc_mdt_config()).run()
+    return RunRecord.from_result(result, benchmark="counted-loop")
 
 
 class TestRegistry:
@@ -84,8 +84,8 @@ class TestDeclaredCoverage:
     @pytest.mark.parametrize("config_fn", [baseline_sfc_mdt_config,
                                            baseline_lsq_config])
     def test_all_emitted_counters_declared(self, config_fn):
-        result = Processor(assemble(counted_loop_program),
-                           config_fn()).run()
+        result = Core(assemble(counted_loop_program),
+                      config_fn()).run()
         undeclared = [name for name in result.counters.as_dict()
                       if name not in METRICS]
         assert not undeclared, f"undeclared counters: {undeclared}"
@@ -151,8 +151,8 @@ class TestRunRecord:
 def multicore_record() -> RunRecord:
     """A deterministic multicore (schema v3) record."""
     litmus = run_litmus_test("mp")
-    return RunRecord.from_system_result(litmus.system_result,
-                                        benchmark="litmus-mp")
+    return RunRecord.from_result(litmus.system_result,
+                                 benchmark="litmus-mp")
 
 
 class TestMulticoreRecord:
@@ -229,12 +229,12 @@ class TestManifestRecords:
     def test_manifest_entries_are_valid_records(self):
         runner = self.make_runner()
         runner.run("gap", baseline_sfc_mdt_config())
-        runner.run("gap", baseline_lsq_config())
+        last = runner.run("gap", baseline_lsq_config())
         records = records_from_manifest(runner.manifest)
         names = [r.config_name for r in records]
         assert names[0].startswith("baseline-sfc-mdt")
         assert names[1].startswith("baseline-lsq")
-        assert runner.last_record().config_name == names[1]
+        assert last.config_name == names[1]
 
     def test_digest_ignores_additive_fields(self):
         """schema_version/kind/engine must not perturb the bit-exactness

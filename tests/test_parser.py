@@ -154,7 +154,7 @@ class TestErrors:
 
 class TestRoundTrip:
     def test_parsed_program_runs_on_pipeline(self):
-        from repro import Processor
+        from repro import Core
         from repro.harness import baseline_sfc_mdt_config
         program = parse_asm("""
             li r1, 0x1000
@@ -171,6 +171,6 @@ class TestRoundTrip:
             halt
         """)
         trace = run_program(program)
-        result = Processor(program, baseline_sfc_mdt_config(),
-                           trace=trace).run()
+        result = Core(program, baseline_sfc_mdt_config(),
+                      trace=trace).run()
         assert result.instructions == len(trace)

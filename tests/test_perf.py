@@ -105,8 +105,7 @@ class TestProfileSuite:
         assert report.total_instructions > 0
         assert report.total_seconds > 0
         names = " ".join(fn.name for fn in report.top(50))
-        # The pipeline's hot loops live in pipeline/core.py (the
-        # single-core Processor is a thin subclass over it).
+        # The pipeline's hot loops live in pipeline/core.py.
         assert "core.py" in names
 
     def test_top_limits_rows(self):

@@ -8,7 +8,7 @@ microarchitectural *events* the paper's mechanisms are about.
 
 import pytest
 
-from repro import Assembler, Processor, run_program
+from repro import Assembler, Core, run_program
 from repro.harness.configs import (
     NOT_ENF,
     aggressive_lsq_config,
@@ -20,7 +20,7 @@ from tests.conftest import assemble, counted_loop_program, store_load_program
 
 
 def run(prog, config):
-    return Processor(prog, config).run()
+    return Core(prog, config).run()
 
 
 class TestBasicExecution:
@@ -364,8 +364,8 @@ class TestSimulationGuards:
         other.halt()
         wrong_trace = run_program(other.build())
         with pytest.raises(SimulationError):
-            Processor(prog, baseline_lsq_config(),
-                      trace=wrong_trace).run()
+            Core(prog, baseline_lsq_config(),
+                 trace=wrong_trace).run()
 
     def test_result_repr_and_rates(self):
         result = run(assemble(counted_loop_program), baseline_lsq_config())

@@ -4,15 +4,15 @@ import json
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.harness import baseline_lsq_config, baseline_sfc_mdt_config
 from repro.pipeline.pipetrace import PipeTracer, trace_run
 from tests.conftest import assemble, counted_loop_program, store_load_program
 
 
 def traced(build_fn, config=None):
-    processor = Processor(assemble(build_fn),
-                          config or baseline_lsq_config())
+    processor = Core(assemble(build_fn),
+                     config or baseline_lsq_config())
     return trace_run(processor)
 
 
@@ -40,8 +40,8 @@ class TestLifecycle:
 
     def test_tracing_does_not_change_timing(self):
         prog = assemble(counted_loop_program)
-        plain = Processor(prog, baseline_lsq_config()).run()
-        proc = Processor(prog, baseline_lsq_config())
+        plain = Core(prog, baseline_lsq_config()).run()
+        proc = Core(prog, baseline_lsq_config())
         tracer = PipeTracer(proc)
         traced_result = proc.run()
         assert plain.cycles == traced_result.cycles
@@ -107,23 +107,23 @@ class TestSpeculationEvents:
 class TestRingBuffer:
     def test_ring_keeps_youngest(self):
         full = traced(counted_loop_program)
-        proc = Processor(assemble(counted_loop_program),
-                         baseline_lsq_config())
+        proc = Core(assemble(counted_loop_program),
+                    baseline_lsq_config())
         ringed = trace_run(proc, ring_size=16)
         assert len(ringed.traces) == 16
         # The survivors are exactly the 16 youngest sequence numbers.
         assert sorted(ringed.traces) == sorted(full.traces)[-16:]
 
     def test_ring_rejects_nonpositive(self):
-        proc = Processor(assemble(counted_loop_program),
-                         baseline_lsq_config())
+        proc = Core(assemble(counted_loop_program),
+                    baseline_lsq_config())
         with pytest.raises(ValueError):
             PipeTracer(proc, ring_size=0)
 
     def test_ring_does_not_change_timing(self):
         prog = assemble(counted_loop_program)
-        plain = Processor(prog, baseline_lsq_config()).run()
-        proc = Processor(prog, baseline_lsq_config())
+        plain = Core(prog, baseline_lsq_config()).run()
+        proc = Core(prog, baseline_lsq_config())
         tracer = PipeTracer(proc, ring_size=8)
         ringed = proc.run()
         assert plain.cycles == ringed.cycles
@@ -133,8 +133,8 @@ class TestRingBuffer:
 
 class TestEpochSnapshots:
     def run_with_epochs(self, epoch_cycles=100):
-        proc = Processor(assemble(counted_loop_program),
-                         baseline_sfc_mdt_config())
+        proc = Core(assemble(counted_loop_program),
+                    baseline_sfc_mdt_config())
         return trace_run(proc, epoch_cycles=epoch_cycles), proc
 
     def test_snapshots_sampled(self):
@@ -169,8 +169,8 @@ class TestEpochSnapshots:
 
     def test_epoch_sampling_does_not_change_timing(self):
         prog = assemble(counted_loop_program)
-        plain = Processor(prog, baseline_sfc_mdt_config()).run()
-        proc = Processor(prog, baseline_sfc_mdt_config())
+        plain = Core(prog, baseline_sfc_mdt_config()).run()
+        proc = Core(prog, baseline_sfc_mdt_config())
         PipeTracer(proc, epoch_cycles=64)
         sampled = proc.run()
         assert plain.cycles == sampled.cycles

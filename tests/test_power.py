@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.harness.configs import baseline_lsq_config
 from repro.power import EnergyModel
 from repro.stats import Counters
@@ -72,8 +72,8 @@ class TestEndToEndEnergy:
             a.bne("r2", "r3", "loop")
             a.halt()
         prog = assemble(build)
-        lsq = Processor(prog, aggressive_lsq_config()).run()
-        sfc = Processor(prog, aggressive_sfc_mdt_config()).run()
+        lsq = Core(prog, aggressive_lsq_config()).run()
+        sfc = Core(prog, aggressive_sfc_mdt_config()).run()
         model = EnergyModel()
         comparison = model.compare(lsq.counters, sfc.counters)
         assert comparison["ratio"] > 1.0
@@ -94,8 +94,8 @@ class TestEndToEndEnergy:
             a.bne("r2", "r3", "loop")
             a.halt()
         prog = assemble(build)
-        small = Processor(prog, baseline_lsq_config(8, 8)).run()
-        large = Processor(prog, baseline_lsq_config(48, 32)).run()
+        small = Core(prog, baseline_lsq_config(8, 8)).run()
+        large = Core(prog, baseline_lsq_config(48, 32)).run()
         model = EnergyModel()
         assert model.lsq_energy(large.counters)["total_energy"] >= \
             model.lsq_energy(small.counters)["total_energy"]

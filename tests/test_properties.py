@@ -14,10 +14,10 @@ ordering checker over the access history.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import Processor, run_program
+from repro import Core, run_program
 from repro.core import (
     MDTConfig,
     MemoryDisambiguationTable,
@@ -54,29 +54,29 @@ class TestPipelineEquivalence:
     def test_baseline_lsq_matches_iss(self, seed):
         prog = random_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, baseline_lsq_config(), trace=trace).run()
+        Core(prog, baseline_lsq_config(), trace=trace).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_baseline_sfc_mdt_matches_iss(self, seed):
         prog = random_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, baseline_sfc_mdt_config(), trace=trace).run()
+        Core(prog, baseline_sfc_mdt_config(), trace=trace).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_not_enf_matches_iss(self, seed):
         prog = random_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, baseline_sfc_mdt_config(mode=NOT_ENF, name="n"),
-                  trace=trace).run()
+        Core(prog, baseline_sfc_mdt_config(mode=NOT_ENF, name="n"),
+             trace=trace).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_aggressive_sfc_mdt_matches_iss(self, seed):
         prog = random_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, aggressive_sfc_mdt_config(), trace=trace).run()
+        Core(prog, aggressive_sfc_mdt_config(), trace=trace).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -88,7 +88,7 @@ class TestPipelineEquivalence:
                                          name="tiny")
         config.sfc.assoc = 1
         config.mdt.assoc = 1
-        Processor(prog, config, trace=trace).run()
+        Core(prog, config, trace=trace).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -96,8 +96,8 @@ class TestPipelineEquivalence:
         prog = random_program(seed, max_blocks=6)
         trace = run_program(prog, 500_000)
         config = baseline_sfc_mdt_config()
-        first = Processor(prog, config, trace=trace).run()
-        second = Processor(prog, config, trace=trace).run()
+        first = Core(prog, config, trace=trace).run()
+        second = Core(prog, config, trace=trace).run()
         assert first.cycles == second.cycles
 
 
@@ -112,21 +112,21 @@ class TestPipelineEquivalenceDeep:
     def test_baseline_lsq_matches_iss(self, seed):
         prog = fuzz_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, baseline_lsq_config(), trace=trace).run()
+        Core(prog, baseline_lsq_config(), trace=trace).run()
 
     @_DEEP
     @given(seed=st.integers(min_value=0, max_value=1_000_000))
     def test_baseline_sfc_mdt_matches_iss(self, seed):
         prog = fuzz_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, baseline_sfc_mdt_config(), trace=trace).run()
+        Core(prog, baseline_sfc_mdt_config(), trace=trace).run()
 
     @_DEEP
     @given(seed=st.integers(min_value=0, max_value=1_000_000))
     def test_aggressive_sfc_mdt_matches_iss(self, seed):
         prog = fuzz_program(seed)
         trace = run_program(prog, 500_000)
-        Processor(prog, aggressive_sfc_mdt_config(), trace=trace).run()
+        Core(prog, aggressive_sfc_mdt_config(), trace=trace).run()
 
 
 # -- SFC reference model -------------------------------------------------------
@@ -185,6 +185,10 @@ class _SfcOracle:
 class TestSfcAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(ops=_sfc_ops)
+    # A load spanning two words: a partial match in the first word must
+    # not hide a corrupt byte in the second.
+    @example(ops=[("store", 0, 6, 4, 0), ("flush", 0, 0, 1, 0),
+                  ("store", 0, 6, 2, 0), ("load", 0, 1, 8, 0)])
     def test_matches_reference_model(self, ops):
         # Large enough that no set conflicts occur: pure semantics test.
         sfc = StoreForwardingCache(SFCConfig(num_sets=64, assoc=4))

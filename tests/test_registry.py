@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Processor
+from repro import Core
 from repro.core import registry
 from repro.core.load_replay import LoadReplaySubsystem
 from repro.core.registry import register_subsystem
@@ -30,13 +30,13 @@ class TestBuiltinRegistrations:
         expected = {"lsq": LSQSubsystem, "sfc_mdt": SfcMdtSubsystem,
                     "load_replay": LoadReplaySubsystem}
         for name, cls in expected.items():
-            processor = Processor(program, ProcessorConfig(subsystem=name))
+            processor = Core(program, ProcessorConfig(subsystem=name))
             assert type(processor.subsystem) is cls
 
     def test_subsystem_name_attribute_matches_registration(self):
         program = assemble(counted_loop_program)
         for name in registry.available():
-            processor = Processor(program, ProcessorConfig(subsystem=name))
+            processor = Core(program, ProcessorConfig(subsystem=name))
             assert processor.subsystem.name == name
 
 
@@ -71,7 +71,7 @@ class TestValidation:
 
 
 class TestToySubsystem:
-    """A third-party subsystem plugs in end-to-end through Processor."""
+    """A third-party subsystem plugs in end-to-end through Core."""
 
     @pytest.fixture
     def toy_name(self):
@@ -88,9 +88,9 @@ class TestToySubsystem:
 
         config = ProcessorConfig(subsystem=toy_name)
         assert config.name == toy_name  # default name follows subsystem
-        result = Processor(assemble(counted_loop_program), config).run()
-        assert type(Processor(assemble(counted_loop_program),
-                              config).subsystem) is ToySubsystem
+        result = Core(assemble(counted_loop_program), config).run()
+        assert type(Core(assemble(counted_loop_program),
+                         config).subsystem) is ToySubsystem
         assert result.instructions > 0
         assert result.ipc > 0
         # Retirement validation against the golden trace ran, so the toy
@@ -103,8 +103,8 @@ class TestToySubsystem:
         def build_toy(config, memory, hierarchy, counters):
             return LSQSubsystem(config.lsq, memory, hierarchy, counters)
 
-        result = Processor(assemble(counted_loop_program),
-                           ProcessorConfig(subsystem=toy_name)).run()
+        result = Core(assemble(counted_loop_program),
+                      ProcessorConfig(subsystem=toy_name)).run()
         assert result.ipc > 0
 
     def test_unregistered_toy_rejected_again(self, toy_name):

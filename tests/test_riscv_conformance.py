@@ -99,12 +99,12 @@ class TestStlHazardFixture:
     @pytest.mark.parametrize("config_fn", [baseline_sfc_mdt_config,
                                            baseline_lsq_config])
     def test_pipeline_reaches_expected_registers(self, config_fn):
-        from repro.pipeline.processor import Processor
+        from repro.pipeline import Core
 
         program, expected = self.load()
         interp = Interpreter(program)
         trace = interp.run(10_000)
-        core = Processor(program, config_fn(), trace=trace)
+        core = Core(program, config_fn(), trace=trace)
         core.run()
         regs = core.architectural_registers()
         for index, value in expected.items():

@@ -23,7 +23,7 @@ from repro.harness.configs import (
 )
 from repro.isa.interp import Interpreter
 from repro.isa.riscv import RVAssembler
-from repro.pipeline.processor import Processor
+from repro.pipeline import Core
 
 BASE = 0x1000
 PATTERN = 0xDEADBEEF  # bytes EF BE AD DE, little-endian
@@ -48,7 +48,7 @@ def run_both(asm):
     trace = interp.run(10_000)
     outcomes = {}
     for config in (baseline_sfc_mdt_config(), baseline_lsq_config()):
-        core = Processor(program, config, trace=trace)
+        core = Core(program, config, trace=trace)
         result = core.run()
         assert core.memory.digest() == interp.memory.digest()
         assert core.architectural_registers() == list(interp.regs)

@@ -124,7 +124,7 @@ class TestConfig:
 
 class TestEndToEnd:
     def test_pipeline_runs_exactly_with_endpoints(self):
-        from repro import Processor, run_program
+        from repro import Core, run_program
         from repro.harness.configs import baseline_sfc_mdt_config
         from repro.workloads import random_program
 
@@ -133,19 +133,19 @@ class TestEndToEnd:
         for seed in (3, 14, 159):
             prog = random_program(seed, max_blocks=15)
             trace = run_program(prog, 500_000)
-            Processor(prog, config, trace=trace).run()
+            Core(prog, config, trace=trace).run()
 
     def test_endpoints_reduce_corruption_replays(self):
-        from repro import Processor, run_program
+        from repro import Core, run_program
         from repro.harness.configs import aggressive_sfc_mdt_config
         from repro.workloads import build
 
         prog = build("ammp", scale=6000)
         trace = run_program(prog, 2_000_000)
-        mask = Processor(prog, aggressive_sfc_mdt_config(),
-                         trace=trace).run()
+        mask = Core(prog, aggressive_sfc_mdt_config(),
+                    trace=trace).run()
         config = aggressive_sfc_mdt_config(name="endpoints")
         config.sfc.corruption_mode = CORRUPTION_ENDPOINTS
-        endpoints = Processor(prog, config, trace=trace).run()
+        endpoints = Core(prog, config, trace=trace).run()
         assert endpoints.counters.get("load_replays_sfc_corrupt") <= \
             mask.counters.get("load_replays_sfc_corrupt")

@@ -4,7 +4,7 @@ The load-bearing equivalence facts:
 
 * a 1-core private-memory ``System`` is *bit-identical* (cycles and
   every counter) to a bare ``Core`` run with ``idle_skip=False``;
-* against ``Processor`` (which keeps the legacy idle-cycle
+* against ``Core`` (which keeps the legacy idle-cycle
   fast-forward) the same run matches on cycles and on every counter
   except the idle-skip bookkeeping family -- with the skip disabled the
   core counts each stall cycle it would otherwise have jumped over.
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline import (MEMORY_PRIVATE, MEMORY_SHARED, Processor,
-                            System, SystemConfig)
-from repro.pipeline.core import Core
+from repro.pipeline import (MEMORY_PRIVATE, MEMORY_SHARED, Core, System,
+                            SystemConfig)
 from repro.workloads import suites
 
 from tests.conftest import assemble, counted_loop_program
@@ -48,7 +47,7 @@ class TestSingleCoreEquivalence:
 
     def test_matches_processor_modulo_idle_bookkeeping(self):
         program = suites.build("gzip", 800)
-        solo = Processor(program, _baseline()).run()
+        solo = Core(program, _baseline()).run()
         config = SystemConfig(core=_baseline(), cores=1,
                               memory_mode=MEMORY_PRIVATE)
         sysres = System([program], config).run()
@@ -121,10 +120,14 @@ class TestCounterNamespacing:
     def test_to_dict_roundtrips_through_json(self):
         import json
 
+        from repro.obs.runrecord import RunRecord
+
         program = assemble(counted_loop_program)
         config = SystemConfig(core=_baseline(), cores=2)
         result = System([program], config).run()
-        payload = json.loads(json.dumps(result.to_dict()))
+        record = RunRecord.from_result(result)
+        payload = json.loads(json.dumps(record.to_dict()))
+        assert RunRecord.from_dict(payload).to_dict() == record.to_dict()
         assert payload["cores"] == 2
         assert payload["cycles"] == result.cycles
         assert payload["config"]["core"]["name"] == _baseline().name
