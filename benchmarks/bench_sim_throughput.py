@@ -21,34 +21,29 @@ SCALE = 4000
 
 @pytest.fixture(scope="module")
 def workload():
-    prog = build("gap", scale=SCALE)
-    return prog, run_program(prog, 1_000_000)
+    return build("gap", scale=SCALE)
 
 
-def _simulate(prog, trace, config):
-    return Core(prog, config, trace=trace).run()
+def _simulate(prog, config):
+    return Core(prog, config, max_instructions=1_000_000).run()
 
 
 def test_throughput_baseline_lsq(benchmark, workload):
-    prog, trace = workload
-    result = benchmark(_simulate, prog, trace, baseline_lsq_config())
+    result = benchmark(_simulate, workload, baseline_lsq_config())
     benchmark.extra_info["ipc"] = result.ipc
     benchmark.extra_info["instructions"] = result.instructions
 
 
 def test_throughput_baseline_sfc_mdt(benchmark, workload):
-    prog, trace = workload
-    result = benchmark(_simulate, prog, trace, baseline_sfc_mdt_config())
+    result = benchmark(_simulate, workload, baseline_sfc_mdt_config())
     benchmark.extra_info["ipc"] = result.ipc
 
 
 def test_throughput_aggressive_sfc_mdt(benchmark, workload):
-    prog, trace = workload
-    result = benchmark(_simulate, prog, trace, aggressive_sfc_mdt_config())
+    result = benchmark(_simulate, workload, aggressive_sfc_mdt_config())
     benchmark.extra_info["ipc"] = result.ipc
 
 
 def test_throughput_architectural_iss(benchmark, workload):
-    prog, _ = workload
-    trace = benchmark(run_program, prog, 1_000_000)
+    trace = benchmark(run_program, workload, 1_000_000)
     benchmark.extra_info["instructions"] = len(trace)

@@ -59,7 +59,7 @@ def scale() -> int:
 
 @pytest.fixture(scope="session")
 def runner() -> ExperimentRunner:
-    """One shared engine per session: golden traces are built once and
+    """One shared engine per session: programs are built once and
     completed cells persist in the on-disk result cache."""
     engine = ExperimentRunner(scale=DEFAULT_SCALE, jobs=DEFAULT_JOBS,
                               cache_dir=CACHE_DIR,

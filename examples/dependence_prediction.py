@@ -10,7 +10,7 @@ dries up after the first few occurrences -- and the enforcement mode
 Run:  python examples/dependence_prediction.py
 """
 
-from repro import Assembler, Core, run_program
+from repro import Assembler, Core
 from repro.harness import baseline_sfc_mdt_config
 from repro.harness.configs import ENF, NOT_ENF
 
@@ -38,13 +38,12 @@ def build_program(iterations=400):
 
 def main():
     program = build_program()
-    trace = run_program(program)
     print("Kernel: slow store -> fast store -> load, all to one of 16")
     print("recurring addresses; every memory dependence kind is at risk.\n")
 
     for mode in (ENF, NOT_ENF):
         config = baseline_sfc_mdt_config(mode=mode, name=mode)
-        result = Core(program, config, trace=trace).run()
+        result = Core(program, config).run()
         c = result.counters
         print(f"=== predictor mode {mode} ===")
         print(f"  IPC                  {result.ipc:.3f}")

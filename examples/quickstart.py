@@ -34,12 +34,12 @@ def build_program():
 
 def main():
     program = build_program()
-    trace = run_program(program)
+    dynamic = len(run_program(program))
     print(f"program: {len(program)} static instructions, "
-          f"{len(trace)} dynamic instructions\n")
+          f"{dynamic} dynamic instructions\n")
 
     for config in (baseline_lsq_config(), baseline_sfc_mdt_config()):
-        result = Core(program, config, trace=trace).run()
+        result = Core(program, config).run()
         c = result.counters
         print(f"=== {config.name} ===")
         print(f"  IPC                 {result.ipc:.3f}   "

@@ -24,7 +24,7 @@ the corruption machinery firing in the counters.
 Run:  python examples/wrong_path_corruption.py
 """
 
-from repro import Assembler, Core, run_program
+from repro import Assembler, Core
 from repro.harness import baseline_sfc_mdt_config
 
 
@@ -63,9 +63,7 @@ def build_program(iterations=200):
 
 def main():
     program = build_program()
-    trace = run_program(program)
-    result = Core(program, baseline_sfc_mdt_config(),
-                  trace=trace).run()
+    result = Core(program, baseline_sfc_mdt_config()).run()
     c = result.counters
 
     print("Section 2.3 wrong-path corruption scenario")

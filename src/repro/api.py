@@ -28,7 +28,7 @@ objects, so callers no longer import from ``repro.pipeline`` or
   every registered program frontend (native generator, RV32);
 * :func:`simulate_riscv` -- load a real RV32 image (``.hex`` text, raw
   binary, or word list) through the :mod:`repro.isa.riscv` frontend and
-  simulate it golden-trace-checked against the interpreter oracle;
+  simulate it validated against its lockstep interpreter oracle;
 * :func:`run_riscv_conformance` -- execute the committed RV32 corpus on
   the oracle and on every configuration of the differential matrix,
   asserting identical final register/memory digests
@@ -326,19 +326,17 @@ def simulate_riscv(source, config: ConfigLike = "baseline-sfc-mdt",
 
     ``source`` is anything the frontend loads: a ``.hex`` text file, a
     raw little-endian binary image, or a list of 32-bit words.  The
-    program runs on the in-order interpreter first (the architectural
-    oracle), then on the pipeline with golden-trace validation against
-    that trace -- a divergence raises
+    pipeline validates every retiring instruction against its lockstep
+    in-order oracle (budget ``max_instructions``) -- a divergence raises
     :class:`~repro.pipeline.core.SimulationError` rather than
     returning a record.
     """
-    from .isa.interp import Interpreter
     from .isa.program import Program
 
     program = Program.from_riscv(source, name=name)
     resolved = resolve_config(config)
-    trace = Interpreter(program).run(max_instructions)
-    return RunRecord.from_result(Core(program, resolved, trace=trace).run())
+    return RunRecord.from_result(
+        Core(program, resolved, max_instructions=max_instructions).run())
 
 
 def run_riscv_conformance(suite: str = "riscv-conformance",

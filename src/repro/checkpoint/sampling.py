@@ -44,10 +44,6 @@ SINGLE_INTERVAL_ERROR = 0.10
 #: (dropping every other checkpoint, doubling the stride) beyond this.
 MAX_TRAIN_CHECKPOINTS = 128
 
-#: Dispatch slack appended to each interval's golden suffix trace: fetch
-#: may run ``rob_size`` ahead of retirement plus a fetch-width margin.
-TRACE_SLACK = 256
-
 #: Two-sided 95% Student-t critical values by degrees of freedom.
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
@@ -328,33 +324,21 @@ def simulate_interval(program: Program, config: ProcessorConfig,
     ``warmup_insts`` (counters discarded), measure ``interval_insts``.
 
     Returns the per-interval measurement dict, or None when the program
-    halts inside the warm-up (nothing measurable).
+    halts inside the warm-up (nothing measurable).  The core's lockstep
+    oracle resumes from the same checkpoint, so it executes only the
+    window plus the in-flight lookahead, and each span ends early when
+    the program's HALT retires.
     """
-    resumed = ckpt.resume_interpreter(program)
-    # Suffix golden trace: record 0 must be the first instruction the
-    # restored core retires (trace indices are validated against the
-    # core's own retire count).
-    resumed.instructions_retired = 0
-    needed = warmup_insts + interval_insts + config.rob_size + TRACE_SLACK
-    records = []
-    append = records.append
-    step = resumed.step
-    for _ in range(needed):
-        record = step()
-        if record is None:
-            break
-        append(record)
-        if resumed.halted:
-            break
-    core = Core(program, config, trace=records,
+    core = Core(program, config,
+                oracle=ckpt.resume_interpreter(program),
                 memory=ckpt.restore_memory(program),
                 start_pc=ckpt.pc, start_regs=ckpt.regs,
                 warm_state=ckpt.warm)
-    core.run_until(min(warmup_insts, len(records)))
+    core.run_until(warmup_insts)
     warm_cycle = core.cycle
     warm_retired = core.retired
     warm_counters = core.counters.as_dict()
-    core.run_until(min(warmup_insts + interval_insts, len(records)))
+    core.run_until(warmup_insts + interval_insts)
     retired = core.retired - warm_retired
     cycles = core.cycle - warm_cycle
     if retired <= 0 or cycles <= 0:

@@ -1,13 +1,13 @@
 """Experiment engine: (benchmark x configuration) grids, in parallel,
-with golden-trace reuse, a persistent on-disk result cache, and a
-fault-tolerant, resumable scheduler.
+with a persistent on-disk result cache and a fault-tolerant, resumable
+scheduler.
 
-One :class:`ExperimentRunner` owns three layers of reuse:
+A cell ships only its program, the oracle budget (:data:`TRACE_LIMIT`)
+and its configuration: every detailed core runs its own lockstep golden
+oracle (see :class:`~repro.pipeline.core.Core`), so no whole-run trace
+is built in the parent, held, or pickled to a worker.  One
+:class:`ExperimentRunner` owns two layers of reuse:
 
-* **golden traces** -- each workload's architectural execution happens
-  once per (benchmark, scale) no matter how many processor
-  configurations are measured against it, and is shipped to worker
-  processes so they never re-interpret the program;
 * **process-pool scheduling** -- ``run_suite`` farms uncached grid cells
   out to a ``ProcessPoolExecutor`` (``jobs`` workers, default
   ``os.cpu_count()``; ``jobs=1`` preserves the serial in-process path
@@ -72,7 +72,10 @@ from typing import (Callable, Deque, Dict, Iterable, List, Optional, Tuple,
 
 from ..checkpoint.sampling import sample_run
 from ..checkpoint.store import CheckpointStore
-from ..isa.interp import RetireRecord, run_program
+# Not called here since each core owns its oracle, but kept bound in
+# this module: perfbench/tracing.py times the golden oracle by patching
+# ``experiment.run_program``.
+from ..isa.interp import run_program  # noqa: F401
 from ..isa.program import Program
 from ..obs.runrecord import (
     STATUS_FAILED,
@@ -91,7 +94,8 @@ from ..workloads import litmus, suites
 #: paper reports to stabilise.
 DEFAULT_SCALE = 20_000
 
-#: Upper bound on architectural execution (guards against kernel bugs).
+#: Upper bound on architectural execution (guards against kernel bugs):
+#: each cell's oracle budget, read when the cell is dispatched.
 TRACE_LIMIT = 5_000_000
 
 #: Bump whenever the simulator's observable behaviour or the cached
@@ -189,15 +193,17 @@ def _payload(result, started: float, **extra) -> dict:
     }
 
 
-def _simulate_cell(program: Program, trace: List[RetireRecord],
+def _simulate_cell(program: Program, limit: int,
                    config: ProcessorConfig) -> dict:
     """Simulate one grid cell; returns the cacheable payload dict.
 
-    Module-level so ``ProcessPoolExecutor`` can pickle it; the golden
-    trace arrives prebuilt from the parent process.
+    Module-level so ``ProcessPoolExecutor`` can pickle it; ``limit`` is
+    the core's oracle budget, so a program that does not halt within it
+    fails this cell alone.
     """
     started = time.perf_counter()
-    return _payload(Core(program, config, trace=trace).run(), started)
+    return _payload(Core(program, config, max_instructions=limit).run(),
+                    started)
 
 
 class _Cell:
@@ -226,9 +232,8 @@ class _PoolUnusable(Exception):
 
 
 class ExperimentRunner:
-    """Runs (benchmark x configuration) grids with golden-trace reuse,
-    fault-tolerant process-pool parallelism, and persistent result
-    caching."""
+    """Runs (benchmark x configuration) grids with fault-tolerant
+    process-pool parallelism and persistent result caching."""
 
     def __init__(self, scale: int = DEFAULT_SCALE, verbose: bool = False,
                  jobs: Optional[int] = None,
@@ -257,7 +262,6 @@ class ExperimentRunner:
         #: One dict per completed cell, in completion order.
         self.manifest: List[dict] = []
         self._programs: Dict[str, Program] = {}
-        self._traces: Dict[str, List[RetireRecord]] = {}
         #: Checkpoint trains for sampled mode, memoized in-process and
         #: (when the result cache is enabled) persisted inside it.
         self._checkpoints = self.cache.trains if self.cache \
@@ -274,12 +278,6 @@ class ExperimentRunner:
         if benchmark not in self._programs:
             self._programs[benchmark] = suites.build(benchmark, self.scale)
         return self._programs[benchmark]
-
-    def trace(self, benchmark: str) -> List[RetireRecord]:
-        if benchmark not in self._traces:
-            self._traces[benchmark] = run_program(self.program(benchmark),
-                                                  TRACE_LIMIT)
-        return self._traces[benchmark]
 
     # ------------------------------------------------------------ single cell
 
@@ -300,8 +298,8 @@ class ExperimentRunner:
         in-process), consulting and filling the result cache."""
         return self._run_cell(
             benchmark, config, cache_key(benchmark, self.scale, config),
-            lambda: _simulate_cell(self.program(benchmark),
-                                   self.trace(benchmark), config))
+            lambda: _simulate_cell(self.program(benchmark), TRACE_LIMIT,
+                                   config))
 
     def run_system(self, benchmark: str,
                    config: SystemConfig) -> RunRecord:
@@ -326,12 +324,11 @@ class ExperimentRunner:
                         f"litmus test {test.name!r} requires shared "
                         f"memory mode, got {config.memory_mode!r}")
                 programs = test.programs()
-                traces = None
             else:
                 programs = [self.program(benchmark)] * config.cores
-                traces = [self.trace(benchmark)] * config.cores
             started = time.perf_counter()
-            result = System(programs, config, traces=traces).run()
+            result = System(programs, config,
+                            max_instructions=TRACE_LIMIT).run()
             return _payload(result, started, cores=config.cores)
 
         return self._run_cell(benchmark, config,
@@ -477,11 +474,11 @@ class ExperimentRunner:
                 self._fail_cell(cell, STATUS_TIMEOUT, jobs)
                 continue
             program = self.program(cell.benchmark)
-            trace = self.trace(cell.benchmark)
             while True:
                 cell.attempts += 1
                 try:
-                    payload = self._cell_fn(program, trace, cell.primary)
+                    payload = self._cell_fn(program, TRACE_LIMIT,
+                                            cell.primary)
                 except Exception as exc:  # noqa: BLE001 -- isolate cells
                     cell.error = f"{type(exc).__name__}: {exc}"
                     if cell.attempts > max_retries:
@@ -500,13 +497,6 @@ class ExperimentRunner:
         pool; degrades to :meth:`_run_cells_serial` when the pool
         repeatedly fails without progress."""
         workers = min(jobs, len(cells))
-        # Build every needed golden trace once, in the parent, before
-        # the pool forks, so workers inherit/receive them instead of
-        # re-interpreting the program per cell.
-        for cell in cells:
-            self.program(cell.benchmark)
-            self.trace(cell.benchmark)
-
         queue: Deque[_Cell] = deque(cells)
         # Cells re-run strictly solo: crash victims awaiting
         # attribution and cells between retry attempts.
@@ -540,10 +530,9 @@ class ExperimentRunner:
 
         def submit_one(cell: _Cell) -> bool:
             nonlocal rebuilds
+            program = self.program(cell.benchmark)
             try:
-                fut = pool.submit(self._cell_fn,
-                                  self._programs[cell.benchmark],
-                                  self._traces[cell.benchmark],
+                fut = pool.submit(self._cell_fn, program, TRACE_LIMIT,
                                   cell.primary)
             except Exception:  # noqa: BLE001 -- pool already broken
                 quarantine.appendleft(cell)

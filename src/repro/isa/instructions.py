@@ -84,6 +84,20 @@ W_RRR_OPS = frozenset({ADDW, SUBW, SLLW, SRLW, SRAW,
 #: W-class reg-imm ops (one register source, one immediate, one destination).
 W_RRI_OPS = frozenset({ADDIW, SLLIW, SRLIW, SRAIW, SLTIU})
 
+#: Rename classes: the pipeline renames ``rs1`` unless the opcode is in
+#: :data:`NO_RS1`, ``rs2`` when it is in :data:`USES_RS2`, and allocates a
+#: destination when it is in :data:`HAS_DEST` (and ``rd`` is not r0).
+USES_RS2 = frozenset(
+    {ADD, SUB, AND, OR, XOR, SLT, SLTU, SLL, SRL, SRA, MUL, DIV, REM,
+     FADD, FSUB, FMUL, FDIV}
+    | BRANCH_OPS | STORE_OPS | W_RRR_OPS)
+NO_RS1 = frozenset({J, JAL, LI, NOP, HALT})
+HAS_DEST = frozenset(
+    {ADD, SUB, AND, OR, XOR, SLT, SLTU, SLL, SRL, SRA, ADDI, ANDI, ORI,
+     XORI, SLTI, SLLI, SRLI, SRAI, LI, MUL, DIV, REM, FADD, FSUB, FMUL,
+     FDIV, JAL, JALR}
+    | LOAD_OPS | W_RRR_OPS | W_RRI_OPS)
+
 #: Number of bytes accessed by each memory opcode.
 ACCESS_SIZE = {
     LB: 1, LBU: 1, LH: 2, LHU: 2, LW: 4, LWU: 4, LD: 8,
@@ -137,7 +151,8 @@ class Instruction:
 
     __slots__ = ("op", "rd", "rs1", "rs2", "imm",
                  "is_load", "is_store", "is_mem", "is_branch", "is_control",
-                 "access_size", "latency")
+                 "access_size", "latency",
+                 "reads_rs1", "reads_rs2", "writes_rd")
 
     def __init__(self, op: int, rd: int = 0, rs1: int = 0, rs2: int = 0,
                  imm: int = 0):
@@ -157,6 +172,11 @@ class Instruction:
         self.is_control = op in CONTROL_OPS
         self.access_size: Optional[int] = ACCESS_SIZE.get(op)
         self.latency = OP_LATENCY.get(op, DEFAULT_LATENCY)
+        # Which register fields the pipeline's rename stage reads and
+        # allocates (see USES_RS2 / NO_RS1 / HAS_DEST).
+        self.reads_rs1 = op not in NO_RS1
+        self.reads_rs2 = op in USES_RS2
+        self.writes_rd = op in HAS_DEST and rd != 0
 
     def __repr__(self) -> str:
         name = OPCODE_NAMES.get(self.op, f"op{self.op}")

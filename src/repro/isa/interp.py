@@ -1,10 +1,13 @@
 """In-order architectural simulator (ISS).
 
-Runs a :class:`~repro.isa.program.Program` to completion, producing a golden
-retirement trace.  The out-of-order pipeline validates every retired
-instruction against this trace, mirroring the paper's methodology ("the
-results produced by retiring instructions are validated against a trace
-generated by an architectural simulator").
+Runs a :class:`~repro.isa.program.Program` in program order, emitting one
+retire record per instruction.  The out-of-order pipeline validates every
+retired instruction against these records, mirroring the paper's
+methodology ("the results produced by retiring instructions are validated
+against a trace generated by an architectural simulator").  Each detailed
+core owns one :class:`Interpreter` as its lockstep oracle and pulls
+records from :meth:`Interpreter.records` in chunks just ahead of fetch,
+so no whole-run trace is ever materialised.
 """
 
 from __future__ import annotations
@@ -259,81 +262,132 @@ class Interpreter:
             pd = self._pd = self.program.predecoded()
         return pd
 
+    def records(self, count: int, out: list) -> int:
+        """Execute up to ``count`` instructions, appending one retire
+        record per instruction to ``out``; returns how many were appended
+        (fewer than ``count`` only when the program halts).
+
+        The batch form of :meth:`step` and the lockstep oracle's fill
+        path: it dispatches from the predecoded arrays and appends plain
+        tuples in :class:`RetireRecord` field order (``index, pc, op, rd,
+        dest_value, store_addr, store_size, store_data, next_pc,
+        taken``), so a record costs one tuple rather than an object.
+        """
+        if self.halted or count <= 0:
+            return 0
+        pd = self._predecoded()
+        regs = self.regs
+        memory = self.memory
+        write_int = memory.write_int
+        append = out.append
+        kind = pd.kind
+        p_op = pd.op
+        p_rd = pd.rd
+        p_rs1 = pd.rs1
+        p_rs2 = pd.rs2
+        p_imm = pd.imm
+        p_size = pd.size
+        n = pd.length
+        pad_end = n + WRONG_PATH_PAD
+        pc = self.pc
+        start = seq = self.instructions_retired
+        end = seq + count
+        halted = False
+        while seq < end:
+            index = pc >> 2
+            if pc & 3 or not 0 <= index < n:
+                # Pad semantics, identical to Program.fetch: unaligned ->
+                # nop, the wrong-path pad -> nop, anything beyond -> halt.
+                if pc & 3 or n <= index < pad_end:
+                    next_pc = pc + INSTRUCTION_BYTES
+                    append((seq, pc, ops.NOP, 0, None, None, None, None,
+                            next_pc, False))
+                    pc = next_pc
+                    seq += 1
+                    continue
+                append((seq, pc, ops.HALT, 0, None, None, None, None, pc,
+                        False))
+                seq += 1
+                halted = True
+                break
+            k = kind[index]
+            op = p_op[index]
+            rd = p_rd[index]
+            next_pc = pc + INSTRUCTION_BYTES
+            if k == K_ALU:
+                value = execute_op(op, regs[p_rs1[index]],
+                                   regs[p_rs2[index]], p_imm[index])
+                if rd:
+                    regs[rd] = value
+                append((seq, pc, op, rd, value, None, None, None, next_pc,
+                        False))
+            elif k == K_LOAD:
+                value = load_value(
+                    memory, op, (regs[p_rs1[index]] + p_imm[index]) & MASK64)
+                if rd:
+                    regs[rd] = value
+                append((seq, pc, op, rd, value, None, None, None, next_pc,
+                        False))
+            elif k == K_STORE:
+                size = p_size[index]
+                addr = (regs[p_rs1[index]] + p_imm[index]) & MASK64
+                data = regs[p_rs2[index]] & ((1 << (8 * size)) - 1)
+                write_int(addr, size, data)
+                append((seq, pc, op, rd, None, addr, size, data, next_pc,
+                        False))
+            elif k == K_BRANCH:
+                taken = branch_taken(op, regs[p_rs1[index]],
+                                     regs[p_rs2[index]])
+                if taken:
+                    next_pc = p_imm[index]
+                append((seq, pc, op, rd, None, None, None, None, next_pc,
+                        taken))
+            elif k == K_J:
+                next_pc = p_imm[index]
+                append((seq, pc, op, rd, None, None, None, None, next_pc,
+                        True))
+            elif k == K_JAL:
+                value = next_pc & MASK64
+                if rd:
+                    regs[rd] = value
+                next_pc = p_imm[index]
+                append((seq, pc, op, rd, value, None, None, None, next_pc,
+                        True))
+            elif k == K_JR:
+                next_pc = regs[p_rs1[index]]
+                append((seq, pc, op, rd, None, None, None, None, next_pc,
+                        True))
+            elif k == K_JALR:
+                target = (regs[p_rs1[index]] + p_imm[index]) & MASK64 & ~1
+                value = next_pc & MASK64
+                if rd:
+                    regs[rd] = value
+                next_pc = target
+                append((seq, pc, op, rd, value, None, None, None, next_pc,
+                        True))
+            elif k == K_HALT:
+                append((seq, pc, op, rd, None, None, None, None, pc, False))
+                seq += 1
+                halted = True
+                break
+            else:  # K_NOP
+                append((seq, pc, op, rd, None, None, None, None, next_pc,
+                        False))
+            pc = next_pc
+            seq += 1
+        self.pc = pc
+        self.instructions_retired = seq
+        if halted:
+            self.halted = True
+        return seq - start
+
     def step(self) -> Optional[RetireRecord]:
         """Execute one instruction; return its retire record, or None if
         the machine has already halted."""
-        if self.halted:
+        out: list = []
+        if not self.records(1, out):
             return None
-        pc = self.pc
-        pd = self._predecoded()
-        index = pc >> 2
-        if not (pc & 3) and 0 <= index < pd.length:
-            op = pd.op[index]
-            rd = pd.rd[index]
-            imm = pd.imm[index]
-            regs = self.regs
-            a = regs[pd.rs1[index]]
-            b = regs[pd.rs2[index]]
-        else:
-            # Pad semantics, identical to Program.fetch: unaligned -> nop,
-            # the wrong-path pad -> nop, anything beyond -> halt.
-            if (pc & 3) or pd.length <= index < pd.length + WRONG_PATH_PAD:
-                op = ops.NOP
-            else:
-                op = ops.HALT
-            rd = imm = 0
-            regs = self.regs
-            a = b = 0
-        dest_value: Optional[int] = None
-        store_addr: Optional[int] = None
-        store_size: Optional[int] = None
-        store_data: Optional[int] = None
-        next_pc = pc + INSTRUCTION_BYTES
-        taken = False
-
-        if op == ops.HALT:
-            self.halted = True
-            next_pc = pc
-        elif op == ops.NOP:
-            pass
-        elif op in ops.LOAD_OPS:
-            addr = (a + imm) & MASK64
-            dest_value = load_value(self.memory, op, addr)
-        elif op in ops.STORE_OPS:
-            store_addr = (a + imm) & MASK64
-            store_size = ops.ACCESS_SIZE[op]
-            store_data = b & ((1 << (8 * store_size)) - 1)
-            self.memory.write_int(store_addr, store_size, store_data)
-        elif op in ops.BRANCH_OPS:
-            taken = branch_taken(op, a, b)
-            if taken:
-                next_pc = imm
-        elif op == ops.J:
-            taken = True
-            next_pc = imm
-        elif op == ops.JAL:
-            taken = True
-            dest_value = (pc + INSTRUCTION_BYTES) & MASK64
-            next_pc = imm
-        elif op == ops.JR:
-            taken = True
-            next_pc = a
-        elif op == ops.JALR:
-            taken = True
-            dest_value = (pc + INSTRUCTION_BYTES) & MASK64
-            next_pc = (a + imm) & MASK64 & ~1
-        else:
-            dest_value = execute_op(op, a, b, imm)
-
-        if dest_value is not None and rd != 0:
-            regs[rd] = dest_value
-
-        record = RetireRecord(self.instructions_retired, pc, op, rd,
-                              dest_value, store_addr, store_size, store_data,
-                              next_pc, taken)
-        self.pc = next_pc
-        self.instructions_retired += 1
-        return record
+        return RetireRecord(*out[0])
 
     def fast_forward(self, count: int, bpred=None,
                      hierarchy=None) -> int:
@@ -575,19 +629,13 @@ class Interpreter:
         instruction returns its trace normally; the limit only trips when
         the budget is exhausted with the machine still running.
         """
-        trace: List[RetireRecord] = []
-        append = trace.append
-        step = self.step
-        for _ in range(max_instructions):
-            record = step()
-            if record is None:
-                return trace
-            append(record)
-            if self.halted:
-                return trace
-        raise ExecutionLimitExceeded(
-            f"program {self.program.name!r} did not halt within "
-            f"{max_instructions} instructions")
+        records: list = []
+        self.records(max_instructions, records)
+        if not self.halted:
+            raise ExecutionLimitExceeded(
+                f"program {self.program.name!r} did not halt within "
+                f"{max_instructions} instructions")
+        return [RetireRecord(*record) for record in records]
 
 
 def run_program(program: Program,

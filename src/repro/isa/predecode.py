@@ -12,8 +12,9 @@ per-instruction dispatch overhead.
 
 Predecoded images are cached globally, keyed by the program's content
 digest, so the fast-forward engine, the architectural oracle
-(:meth:`Interpreter.step` / :meth:`Interpreter.run`), and any frontend that
-builds an identical image (e.g. the RV32 loader) share one predecode.
+(:meth:`Interpreter.records`, and the ``step``/``run`` built on it), and
+any frontend that builds an identical image (e.g. the RV32 loader) share
+one predecode.
 
 Correctness contract
 --------------------

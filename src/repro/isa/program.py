@@ -54,6 +54,14 @@ class Program:
         from .predecode import predecode  # local import: avoid a cycle
         return predecode(self)
 
+    def __getstate__(self) -> dict:
+        # The predecode memo (see repro.isa.predecode) holds exec-compiled
+        # block functions, which cannot be pickled; a receiving process
+        # re-predecodes through the digest-keyed cache instead.
+        state = self.__dict__.copy()
+        state.pop("_predecode_memo", None)
+        return state
+
     def fetch(self, pc: int) -> Instruction:
         """Return the instruction at byte address ``pc``.
 

@@ -3,16 +3,17 @@
 Execution-driven, as in the paper: the pipeline fetches along the
 *predicted* path, so wrong-path loads and stores really execute and touch
 the SFC/MDT (the source of SFC corruptions), and every retired instruction
-is validated against the golden trace of the in-order architectural
-simulator.  Recovery from branch mispredictions and memory-ordering
-violations is a partial pipeline flush: squash everything younger than the
-recovery point, restore the register alias table from the per-instruction
-checkpoint, and redirect fetch.
+is validated against the in-order architectural simulator, which each
+core runs in lockstep as its oracle (see :class:`Core`).  Recovery from
+branch mispredictions and memory-ordering violations is a partial
+pipeline flush: squash everything younger than the recovery point,
+restore the register alias table from the per-instruction checkpoint,
+and redirect fetch.
 
 Stage order within :meth:`Core.step` (one simulated cycle):
 
 1. complete instructions whose latency expires this cycle (writeback);
-2. retire from the ROB head, validating against the golden trace;
+2. retire from the ROB head, validating against the oracle's record;
 3. clear scheduler stall bits if the MDT/SFC evicted entries;
 4. select + execute ready instructions (loads/stores consult the memory
    subsystem here, speculatively and out of order);
@@ -39,7 +40,13 @@ from ..core.predictors import DependenceTagFile, ProducerSetPredictor
 from ..core.subsystem import REPLAY
 from ..isa import instructions as ops
 from ..isa.instructions import MASK64, sign_extend
-from ..isa.interp import RetireRecord, branch_taken, execute_op, run_program
+from ..isa.interp import (
+    ExecutionLimitExceeded,
+    Interpreter,
+    RetireRecord,
+    branch_taken,
+    execute_op,
+)
 from ..isa.program import INSTRUCTION_BYTES, Program
 from ..memory.cache import CacheHierarchy, paper_hierarchy
 from ..memory.main_memory import MainMemory
@@ -99,22 +106,17 @@ for _name, _kind, _unit, _desc in (
     declare_metric(_name, kind=_kind, subsystem="pipeline",
                    description=_desc, unit=_unit)
 
-_USES_RS2 = frozenset(
-    {ops.ADD, ops.SUB, ops.AND, ops.OR, ops.XOR, ops.SLT, ops.SLTU,
-     ops.SLL, ops.SRL, ops.SRA, ops.MUL, ops.DIV, ops.REM,
-     ops.FADD, ops.FSUB, ops.FMUL, ops.FDIV}
-    | ops.BRANCH_OPS | ops.STORE_OPS | ops.W_RRR_OPS)
-_NO_RS1 = frozenset({ops.J, ops.JAL, ops.LI, ops.NOP, ops.HALT})
-_HAS_DEST = frozenset(
-    {ops.ADD, ops.SUB, ops.AND, ops.OR, ops.XOR, ops.SLT, ops.SLTU,
-     ops.SLL, ops.SRL, ops.SRA, ops.ADDI, ops.ANDI, ops.ORI, ops.XORI,
-     ops.SLTI, ops.SLLI, ops.SRLI, ops.SRAI, ops.LI, ops.MUL, ops.DIV,
-     ops.REM, ops.FADD, ops.FSUB, ops.FMUL, ops.FDIV, ops.JAL, ops.JALR}
-    | ops.LOAD_OPS | ops.W_RRR_OPS | ops.W_RRI_OPS)
+#: Records the lockstep oracle executes per window fill.
+ORACLE_CHUNK = 256
+
+#: Retired records accumulated at the window front before a fill drops
+#: them; with :data:`ORACLE_CHUNK` and the ROB size this bounds the
+#: window, independently of run length.
+ORACLE_TRIM = 1024
 
 
 class SimulationError(Exception):
-    """Retired state diverged from the golden trace (simulator bug) or the
+    """Retired state diverged from the oracle (simulator bug) or the
     simulation exceeded its cycle budget."""
 
 
@@ -147,26 +149,38 @@ class Core:
 
     ``memory``/``hierarchy`` default to a private image and the paper's
     single-core hierarchy; a :class:`~repro.pipeline.system.System`
-    injects shared ones instead.  ``validate=False`` disables golden-
-    trace value/effect validation at retirement (required under a shared
+    injects shared ones instead.  ``validate=False`` disables oracle
+    value/effect validation at retirement (required under a shared
     memory image, where cross-core stores legitimately change what a
-    load returns relative to its single-threaded golden trace).
+    load returns relative to its single-threaded execution).
     ``idle_skip=False`` disables the guaranteed-idle clock fast-forward
     so lockstepped cores keep identical cycle counts.
+
+    The golden oracle is ``oracle``, an
+    :class:`~repro.isa.interp.Interpreter` (by default a fresh one over
+    ``program``) that the core runs in lockstep just ahead of right-path
+    fetch: it fills a window of retire records :data:`ORACLE_CHUNK` at a
+    time, and records are dropped once retired, so oracle memory is
+    bounded by the in-flight window rather than by run length.  Right-
+    path fetch, the branch oracle, mispredict recovery and retire
+    validation all read that window.  ``max_instructions`` is the
+    oracle's budget: needing a record past it with the oracle still
+    running raises :class:`~repro.isa.interp.ExecutionLimitExceeded`.
 
     Checkpoint restore (see :mod:`repro.checkpoint`): ``start_pc`` and
     ``start_regs`` begin detailed simulation mid-program from a
     fast-forwarded architectural state instead of from reset.  The
-    supplied ``trace`` must then be the golden *suffix* starting at
-    ``start_pc`` (record 0 is the first instruction this core retires),
-    and ``memory`` the checkpoint's restored image.  ``warm_state``
+    ``oracle`` must then be positioned at the same point
+    (:meth:`~repro.checkpoint.arch.ArchCheckpoint.resume_interpreter`),
+    so its next record is the first instruction this core retires, and
+    ``memory`` the checkpoint's restored image.  ``warm_state``
     optionally pre-loads trained branch-predictor state and cache tag
     arrays from a checkpoint's warm capsule (``{"bpred": ...,
     "caches": ...}``); statistics always start from zero.
     """
 
     def __init__(self, program: Program, config: ProcessorConfig,
-                 trace: Optional[List[RetireRecord]] = None,
+                 oracle: Optional[Interpreter] = None,
                  max_instructions: int = 1_000_000,
                  memory: Optional[MainMemory] = None,
                  hierarchy: Optional[CacheHierarchy] = None,
@@ -176,8 +190,14 @@ class Core:
                  warm_state: Optional[dict] = None):
         self.program = program
         self.config = config
-        self.trace = trace if trace is not None \
-            else run_program(program, max_instructions)
+        self.oracle = oracle if oracle is not None \
+            else Interpreter(program)
+        # The oracle's records in core-relative trace-index order:
+        # ``_window[i]`` is trace index ``_window_base + i`` (tuples in
+        # RetireRecord field order).
+        self._window: list = []
+        self._window_base = 0
+        self._oracle_budget = max_instructions
         self.counters = Counters()
         if memory is None:
             memory = MainMemory()
@@ -225,7 +245,7 @@ class Core:
 
         # Fetch state: ``_fetch_trace_index >= 0`` means fetch is on the
         # architecturally correct path and the next instruction fetched is
-        # ``trace[_fetch_trace_index]``.
+        # the oracle's record at that trace index.
         self._fetch_pc: Optional[int] = start_pc
         self._fetch_trace_index = 0
         self._fetch_stall_until = 0
@@ -272,7 +292,7 @@ class Core:
             if self.cycle > max_cycles:
                 raise SimulationError(
                     f"exceeded {max_cycles} cycles "
-                    f"({self.retired}/{len(self.trace)} retired; "
+                    f"({self.retired} retired; "
                     f"rob head={self.rob[0] if self.rob else None})")
             self.step()
 
@@ -435,7 +455,7 @@ class Core:
         elif inst.op == ops.JR or inst.op == ops.JALR:
             self.bpred.update_indirect(head.pc, head.actual_target)
         # Validation runs after retirement-replay correction so the
-        # value compared against the golden trace is the retiring one.
+        # value compared against the oracle is the retiring one.
         if self.validate_trace:
             self._validate(head)
         old_phys = head.old_rd_phys
@@ -452,31 +472,34 @@ class Core:
             self.done = True
 
     def _validate(self, head: DynInst) -> None:
-        """Compare a retiring instruction against the golden trace."""
+        """Compare a retiring instruction against the oracle's record."""
         if head.trace_index != self.retired:
             raise SimulationError(
                 f"retired {head!r} out of order: trace index "
                 f"{head.trace_index} != retire count {self.retired}")
-        record = self.trace[self.retired]
-        if head.pc != record.pc or head.inst.op != record.op:
+        record = self._window[self.retired - self._window_base]
+        _, pc, op, _, dest_value, store_addr, _, store_data, next_pc, _ = \
+            record
+        if head.pc != pc or head.inst.op != op:
             raise SimulationError(
-                f"retired {head!r} does not match trace {record!r}")
-        if record.dest_value is not None and head.inst.rd != 0 and \
-                head.dest_value != record.dest_value:
+                f"retired {head!r} does not match oracle record "
+                f"{RetireRecord(*record)!r}")
+        if dest_value is not None and head.inst.rd != 0 and \
+                head.dest_value != dest_value:
             raise SimulationError(
                 f"wrong destination value at {head!r}: "
-                f"{head.dest_value} != {record.dest_value} ({record!r})")
-        if record.store_addr is not None and (
-                head.addr != record.store_addr or
-                head.store_data != record.store_data):
+                f"{head.dest_value} != {dest_value} "
+                f"({RetireRecord(*record)!r})")
+        if store_addr is not None and (head.addr != store_addr or
+                                       head.store_data != store_data):
             raise SimulationError(
                 f"wrong store effect at {head!r}: "
                 f"{head.addr}/{head.store_data} != "
-                f"{record.store_addr}/{record.store_data}")
-        if head.inst.is_control and head.actual_target != record.next_pc:
+                f"{store_addr}/{store_data}")
+        if head.inst.is_control and head.actual_target != next_pc:
             raise SimulationError(
                 f"wrong control target at {head!r}: "
-                f"{head.actual_target:#x} != {record.next_pc:#x}")
+                f"{head.actual_target:#x} != {next_pc:#x}")
 
     # ------------------------------------------------------------------ issue/execute
 
@@ -588,8 +611,8 @@ class Core:
         self.counters.incr("branch_mispredict_flushes")
         resume_trace = -1
         if inst.on_right_path:
-            record = self.trace[inst.trace_index]
-            if inst.actual_target == record.next_pc:
+            next_pc = self._window[inst.trace_index - self._window_base][8]
+            if inst.actual_target == next_pc:
                 resume_trace = inst.trace_index + 1
             # Otherwise the branch resolved from misspeculated inputs (a
             # stale load value whose ordering violation has not been
@@ -675,9 +698,48 @@ class Core:
         # A redirect supersedes any pending stall for the abandoned path.
         self._fetch_stall_until = self.cycle + penalty
 
+    # ------------------------------------------------------------------ oracle
+
+    def _fill_window(self, trace_index: int) -> int:
+        """Run the oracle until the window holds ``trace_index``; returns
+        that record's offset in the window.
+
+        Records older than the retire point are never read again, so a
+        fill first drops them once :data:`ORACLE_TRIM` have accumulated.
+        """
+        window = self._window
+        retired = self.retired
+        drop = retired - self._window_base
+        if drop >= ORACLE_TRIM:
+            del window[:drop]
+            self._window_base = retired
+        base = self._window_base
+        oracle = self.oracle
+        while trace_index - base >= len(window):
+            budget = self._oracle_budget - base - len(window)
+            if budget <= 0 and not oracle.halted:
+                raise ExecutionLimitExceeded(
+                    f"program {self.program.name!r} did not halt within "
+                    f"{self._oracle_budget} instructions")
+            if not oracle.records(min(ORACLE_CHUNK, budget), window):
+                raise SimulationError(
+                    f"right-path fetch ran past the oracle's halt "
+                    f"({base + len(window)} records) at trace index "
+                    f"{trace_index}; the oracle does not run this "
+                    f"program")
+        return trace_index - base
+
     # ------------------------------------------------------------------ fetch/dispatch
 
     def _fetch_stage(self) -> None:
+        """Fetch, rename and dispatch up to ``width`` instructions along
+        the predicted path, and pick the next fetch PC.
+
+        This is the hottest function in the simulator (once per
+        dispatched instruction, right *and* wrong path), so rename,
+        dispatch and the next-fetch-PC logic are one loop over locals,
+        and the non-control common case continues early.
+        """
         self._fetch_progress = False
         if self._fetch_pc is None or self.cycle < self._fetch_stall_until:
             return
@@ -687,8 +749,14 @@ class Core:
         rob_size = config.rob_size
         scheduler = self.scheduler
         sched_capacity = scheduler.capacity
+        dispatch_fast = scheduler.dispatch_fast
         rename = self.rename
+        rat = rename.rat
+        ready = rename.ready
+        free = rename._free
         subsystem = self.subsystem
+        by_seq = self._by_seq
+        window = self._window
         fetch = self.program.fetch
         instructions = self.program.instructions
         num_insts = len(instructions)
@@ -701,7 +769,7 @@ class Core:
             if scheduler._occupancy >= sched_capacity:
                 self._c_stall_sched.value += 1
                 return
-            if not rename._free:
+            if not free:
                 self._c_stall_phys.value += 1
                 return
             pc = self._fetch_pc
@@ -718,7 +786,8 @@ class Core:
             if static.is_store and not subsystem.can_dispatch_store():
                 self.counters.incr("dispatch_stalls_sq")
                 return
-            if static.is_control and branches >= branch_limit:
+            is_control = static.is_control
+            if is_control and branches >= branch_limit:
                 return
             # Instruction cache: a miss stalls fetch; the lookup filled
             # the line, so the re-fetch after the stall hits.
@@ -727,125 +796,111 @@ class Core:
                 self._fetch_stall_until = self.cycle + ilat - 1
                 return
 
-            self._dispatch(static, pc)
+            # Right-path tracking against the oracle window.
+            trace_index = self._fetch_trace_index
+            record = None
+            if trace_index >= 0:
+                offset = trace_index - self._window_base
+                if offset >= len(window):
+                    offset = self._fill_window(trace_index)
+                record = window[offset]
+                if record[1] != pc:
+                    raise SimulationError(
+                        f"right-path fetch diverged: pc={pc:#x} but the "
+                        f"oracle expects {record[1]:#x} at index "
+                        f"{trace_index}")
+
+            seq = self.next_seq
+            self.next_seq = seq + 1
+            inst = DynInst(seq, pc, static, trace_index)
+
+            # Source renaming.  The RAT needs no checkpoint here: recovery
+            # walks the undo log (each instruction's old_rd_phys) instead.
+            unready1 = -1
+            unready2 = -1
+            if static.reads_rs1:
+                phys = rat[static.rs1]
+                inst.rs1_phys = phys
+                if not ready[phys]:
+                    unready1 = phys
+            if static.reads_rs2:
+                phys = rat[static.rs2]
+                inst.rs2_phys = phys
+                if not ready[phys]:
+                    unready2 = phys
+            # Destination renaming (RenameTable.allocate, inlined).
+            if static.writes_rd:
+                rd = static.rd
+                inst.old_rd_phys = rat[rd]
+                phys = free.pop()
+                ready[phys] = False
+                rat[rd] = phys
+                inst.rd_phys = phys
+
+            # Memory dependence prediction (Section 2.1).
+            if static.is_mem:
+                consumed, produced = self.predictor.on_dispatch(
+                    pc, static.is_store, self.tag_file)
+                inst.consumed_tag = consumed
+                inst.produced_tag = produced
+                if static.is_load:
+                    subsystem.dispatch_load(seq, pc)
+                else:
+                    subsystem.dispatch_store(seq, pc)
+
+            rob.append(inst)
+            by_seq[seq] = inst
+            dispatch_fast(inst, unready1, unready2)
+            self._c_dispatched.value += 1
             self._fetch_progress = True
-            if static.is_control:
-                branches += 1
-            if static.op == ops.HALT:
-                self._fetch_pc = None
-                return
-            if self._fetch_pc is None:
-                return
 
-    def _dispatch(self, static, pc: int) -> None:
-        """Rename + dispatch one fetched instruction, updating fetch PC.
+            # Next fetch PC + right-path tracking.
+            if not is_control:
+                if static.op == ops.HALT:
+                    inst.actual_target = pc  # matches the ISS convention
+                    inst.predicted_target = pc
+                    self._fetch_pc = None
+                    return
+                fall_through = (pc + INSTRUCTION_BYTES) & MASK64
+                inst.predicted_target = fall_through
+                self._fetch_pc = fall_through
+                if record is not None:
+                    self._fetch_trace_index = trace_index + 1
+                continue
 
-        This is the hottest function in the simulator (once per dispatched
-        instruction, right *and* wrong path), so the next-fetch-PC logic is
-        folded in rather than split into a helper, and the non-control
-        common case exits early.
-        """
-        trace_index = self._fetch_trace_index
-        record: Optional[RetireRecord] = None
-        if trace_index >= 0:
-            trace = self.trace
-            if trace_index >= len(trace):
-                raise SimulationError(
-                    f"right-path fetch ran past the golden trace "
-                    f"({len(trace)} records) at pc={pc:#x}; the "
-                    f"trace does not belong to this program")
-            record = trace[trace_index]
-            if record.pc != pc:
-                raise SimulationError(
-                    f"right-path fetch diverged: pc={pc:#x} but trace "
-                    f"expects {record.pc:#x} at index {trace_index}")
-
-        seq = self.next_seq
-        self.next_seq = seq + 1
-        inst = DynInst(seq, pc, static, trace_index)
-
-        # Source renaming.  The RAT needs no checkpoint here: recovery
-        # walks the undo log (each instruction's old_rd_phys) instead.
-        rename = self.rename
-        rat = rename.rat
-        ready = rename.ready
-        unready1 = -1
-        unready2 = -1
-        op = static.op
-        if op not in _NO_RS1:
-            phys = rat[static.rs1]
-            inst.rs1_phys = phys
-            if not ready[phys]:
-                unready1 = phys
-        if op in _USES_RS2:
-            phys = rat[static.rs2]
-            inst.rs2_phys = phys
-            if not ready[phys]:
-                unready2 = phys
-        # Destination renaming.
-        if op in _HAS_DEST and static.rd != 0:
-            inst.old_rd_phys = rat[static.rd]
-            inst.rd_phys = rename.allocate(static.rd)
-
-        # Memory dependence prediction (Section 2.1).
-        if static.is_mem:
-            consumed, produced = self.predictor.on_dispatch(
-                pc, static.is_store, self.tag_file)
-            inst.consumed_tag = consumed
-            inst.produced_tag = produced
-            if static.is_load:
-                self.subsystem.dispatch_load(seq, pc)
-            else:
-                self.subsystem.dispatch_store(seq, pc)
-
-        self.rob.append(inst)
-        self._by_seq[seq] = inst
-        self.scheduler.dispatch_fast(inst, unready1, unready2)
-        self._c_dispatched.value += 1
-
-        # Next fetch PC + right-path tracking (was _advance_fetch_pc).
-        if not static.is_control:
-            if op == ops.HALT:
-                inst.actual_target = pc  # matches the ISS convention
-                inst.predicted_target = pc
-                return
-            fall_through = (pc + INSTRUCTION_BYTES) & MASK64
-            inst.predicted_target = fall_through
-            self._fetch_pc = fall_through
-            if record is not None:
-                self._fetch_trace_index = trace_index + 1
-            return
-
-        if static.is_branch:
-            if record is not None:
-                predicted = self.bpred.predict_with_oracle(pc, record.taken)
-            else:
-                predicted = self.bpred.predict(pc)
-                self.bpred.predictions += 1
-            inst.predicted_taken = predicted
-            target = static.imm if predicted \
-                else (pc + INSTRUCTION_BYTES) & MASK64
-            inst.predicted_target = target
-            self._fetch_pc = target
-            if record is not None and target == record.next_pc:
-                self._fetch_trace_index = trace_index + 1
-            else:
-                self._fetch_trace_index = -1
-        elif op == ops.JR or op == ops.JALR:
-            predicted_target = self.bpred.predict_indirect(pc)
-            if record is not None and predicted_target != record.next_pc \
-                    and self.bpred.oracle_should_fix():
-                predicted_target = record.next_pc
-            inst.predicted_taken = True
-            inst.predicted_target = predicted_target
-            self._fetch_pc = predicted_target
-            if record is not None and predicted_target == record.next_pc:
-                self._fetch_trace_index = trace_index + 1
-            else:
-                self._fetch_trace_index = -1
-        else:  # J / JAL
-            inst.predicted_taken = True
-            inst.predicted_target = static.imm
-            self._fetch_pc = static.imm
-            if record is not None:
-                self._fetch_trace_index = trace_index + 1
+            branches += 1
+            op = static.op
+            if static.is_branch:
+                if record is not None:
+                    predicted = self.bpred.predict_with_oracle(pc,
+                                                               record[9])
+                else:
+                    predicted = self.bpred.predict(pc)
+                    self.bpred.predictions += 1
+                inst.predicted_taken = predicted
+                target = static.imm if predicted \
+                    else (pc + INSTRUCTION_BYTES) & MASK64
+                inst.predicted_target = target
+                self._fetch_pc = target
+                if record is not None and target == record[8]:
+                    self._fetch_trace_index = trace_index + 1
+                else:
+                    self._fetch_trace_index = -1
+            elif op == ops.JR or op == ops.JALR:
+                predicted_target = self.bpred.predict_indirect(pc)
+                if record is not None and predicted_target != record[8] \
+                        and self.bpred.oracle_should_fix():
+                    predicted_target = record[8]
+                inst.predicted_taken = True
+                inst.predicted_target = predicted_target
+                self._fetch_pc = predicted_target
+                if record is not None and predicted_target == record[8]:
+                    self._fetch_trace_index = trace_index + 1
+                else:
+                    self._fetch_trace_index = -1
+            else:  # J / JAL
+                inst.predicted_taken = True
+                inst.predicted_target = static.imm
+                self._fetch_pc = static.imm
+                if record is not None:
+                    self._fetch_trace_index = trace_index + 1

@@ -176,7 +176,7 @@ class PipeTracer:
     # -- hook installation ----------------------------------------------------
 
     def _install(self, proc: Core) -> None:
-        orig_dispatch = proc._dispatch
+        orig_fetch = proc._fetch_stage
         orig_execute = proc._execute
         orig_complete = proc._complete
         orig_retire = proc._retire_one
@@ -185,9 +185,7 @@ class PipeTracer:
         ring_size = self.ring_size
         ring = self._ring
 
-        def dispatch(static, pc):
-            orig_dispatch(static, pc)
-            inst = proc.rob[-1]
+        def record_dispatch(inst: DynInst) -> None:
             if ring_size is not None:
                 if len(ring) >= ring_size:
                     del self.traces[ring.popleft()]
@@ -195,7 +193,18 @@ class PipeTracer:
             elif len(self.traces) >= self.max_instructions:
                 return
             self.traces[inst.seq] = InstructionTrace(
-                inst.seq, pc, repr(static), proc.cycle)
+                inst.seq, inst.pc, repr(inst.inst), proc.cycle)
+
+        def fetch_stage():
+            # Dispatch appends to the ROB tail and never squashes, so the
+            # instructions this call dispatched are the tail entries at
+            # or past the sequence number it started from.
+            first = proc.next_seq
+            orig_fetch()
+            rob = proc.rob
+            count = proc.next_seq - first
+            for offset in range(len(rob) - count, len(rob)):
+                record_dispatch(rob[offset])
 
         def execute(inst: DynInst):
             trace = self.traces.get(inst.seq)
@@ -230,7 +239,7 @@ class PipeTracer:
                         trace.events.append(f"squash@{cycle}")
             return orig_squash(flush_after_seq)
 
-        proc._dispatch = dispatch
+        proc._fetch_stage = fetch_stage
         proc._execute = execute
         proc._complete = complete
         proc._retire_one = retire

@@ -16,19 +16,18 @@ Memory modes (see :class:`~repro.pipeline.config.SystemConfig`):
   image.  Cross-core interactions (store visibility at retirement,
   speculative loads reading whatever is currently in the image, per-core
   SFC/MDT state never snooping other cores) become observable; per-core
-  golden-trace *value* validation is off, because another core's store
+  oracle *value* validation is off, because another core's store
   legitimately changes what a load returns relative to its
-  single-threaded golden trace.  This is the litmus/weak-memory mode.
+  single-threaded execution.  This is the litmus/weak-memory mode.
 * ``private`` -- every core owns a private image (its own program's
   data) but timing flows through the shared L2, so ordinary benchmarks
-  run N-up with full golden-trace validation intact.
+  run N-up with full oracle validation intact.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..isa.interp import RetireRecord, run_program
 from ..isa.program import Program
 from ..memory.system import MemorySystem
 from .config import SystemConfig
@@ -72,11 +71,12 @@ class System:
 
     ``programs`` is one :class:`~repro.isa.program.Program` per core; a
     single program is replicated across every core (the N-up throughput
-    case).  Golden traces may be passed per core (``traces``) or are
-    interpreted on construction -- each core's trace is its program's
+    case).  Each core runs its own lockstep oracle over its program (see
+    :class:`~repro.pipeline.core.Core`) -- the program's
     *single-threaded* architectural execution, used for fetch-path
     tracking and the branch oracle; value validation against it is
-    enabled only in ``private`` memory mode.
+    enabled only in ``private`` memory mode.  ``max_instructions`` is
+    each oracle's budget.
 
     ``checkpoints`` (one
     :class:`~repro.checkpoint.arch.ArchCheckpoint` per core, or None
@@ -86,12 +86,10 @@ class System:
     captured by the *single-threaded* interpreter, and a shared image
     stamped from per-core checkpoints would interleave their deltas
     nondeterministically -- so shared-memory mode rejects it.  Each
-    restored core's ``traces`` entry must be the golden *suffix* from
-    its checkpoint (see :class:`~repro.pipeline.core.Core`).
+    restored core's oracle resumes from its checkpoint.
     """
 
     def __init__(self, programs: Sequence[Program], config: SystemConfig,
-                 traces: Optional[Sequence[List[RetireRecord]]] = None,
                  max_instructions: int = 1_000_000,
                  checkpoints: Optional[Sequence] = None):
         programs = list(programs)
@@ -102,9 +100,6 @@ class System:
                 f"got {len(programs)} program(s) for {config.cores} "
                 f"core(s); pass one per core or a single program to "
                 f"replicate")
-        if traces is not None and len(traces) != config.cores:
-            raise ValueError(
-                f"got {len(traces)} trace(s) for {config.cores} core(s)")
         if checkpoints is not None:
             if config.shared_memory:
                 raise ValueError(
@@ -124,16 +119,16 @@ class System:
         shared = config.shared_memory
         self.cores: List[Core] = []
         for core_id, program in enumerate(programs):
-            trace = traces[core_id] if traces is not None \
-                else run_program(program, max_instructions)
             ckpt = checkpoints[core_id] if checkpoints is not None \
                 else None
             memory = self.memsys.memory(core_id)
+            oracle = None
             if ckpt is not None:
                 memory.apply_page_delta(ckpt.pages)
+                oracle = ckpt.resume_interpreter(program)
             self.cores.append(Core(
-                program, config.core, trace=trace,
-                memory=memory,
+                program, config.core, oracle=oracle,
+                max_instructions=max_instructions, memory=memory,
                 hierarchy=self.memsys.hierarchy(core_id),
                 core_id=core_id, validate=not shared, idle_skip=False,
                 start_pc=ckpt.pc if ckpt is not None else 0,

@@ -182,7 +182,8 @@ def run_conformance(suite_name: str = "riscv-conformance",
         }
         for config in configs:
             try:
-                core = Core(program, config, trace=trace)
+                core = Core(program, config,
+                            max_instructions=max_instructions)
                 result = core.run()
             except SimulationError as exc:
                 report.cells.append(ConformanceCell(

@@ -10,8 +10,9 @@ claim: each iteration generates one adversarial program
 the interpreter to obtain the golden trace and final memory image, then
 runs it under every configuration of the differential matrix and checks
 
-* **trace equivalence** -- the pipeline's built-in golden-trace
-  validation (a divergence raises ``SimulationError``);
+* **trace equivalence** -- the pipeline's built-in validation against
+  its lockstep interpreter oracle (a divergence raises
+  ``SimulationError``);
 * **final memory image** -- the architectural memory after the run must
   hash identically to the interpreter's;
 * **retire counts** -- every configuration retires exactly the trace's
@@ -194,7 +195,8 @@ class DifferentialFuzzer:
         results = {}
         for config in self.configs:
             try:
-                processor = Core(program, config, trace=trace)
+                processor = Core(program, config,
+                                 max_instructions=self.max_instructions)
                 result = processor.run()
             except SimulationError as exc:
                 mismatches.append(FuzzMismatch(
@@ -219,7 +221,8 @@ class DifferentialFuzzer:
                     f"{counters.get('retired_stores', 0)} stores, oracle "
                     f"has {oracle_loads}/{oracle_stores}"))
             if self.check_determinism:
-                rerun = Core(program, config, trace=trace).run()
+                rerun = Core(program, config,
+                             max_instructions=self.max_instructions).run()
                 if rerun.cycles != result.cycles or \
                         _counters_subset(rerun) != counters:
                     mismatches.append(FuzzMismatch(

@@ -7,8 +7,9 @@ The headline properties, checked with hypothesis over random programs:
 * checkpoint-at-k + resume reproduces the full run exactly -- the
   resumed retire trace equals the full trace's suffix and the final
   memory digest matches, for k at block boundaries and mid-loop;
-* the detailed pipeline restored from a checkpoint retires exactly the
-  golden suffix and converges to the same final memory image.
+* the detailed pipeline restored from a checkpoint, with its lockstep
+  oracle resumed there too, retires exactly the suffix and converges to
+  the same final memory image.
 """
 
 from __future__ import annotations
@@ -186,11 +187,9 @@ class TestCoreRestore:
         checkpoints, total = capture_train(program, every=1_000,
                                            warm=True)
         ckpt = checkpoints[2]
-        resumed = ckpt.resume_interpreter(program)
-        resumed.instructions_retired = 0  # suffix records index from 0
-        suffix = resumed.run(500_000)
         memory = ckpt.restore_memory(program)
-        core = Core(program, config_fn(), trace=suffix, memory=memory,
+        core = Core(program, config_fn(),
+                    oracle=ckpt.resume_interpreter(program), memory=memory,
                     start_pc=ckpt.pc, start_regs=ckpt.regs,
                     warm_state=ckpt.warm)
         core.run()
@@ -201,10 +200,9 @@ class TestCoreRestore:
         """start_pc=0/start_regs=None is bit-identical to the old
         constructor: same cycles, same counters."""
         program = suites.build("gzip", 1_500)
-        trace, _ = _full_run(program)
-        plain = Core(program, baseline_sfc_mdt_config(), trace=trace)
+        plain = Core(program, baseline_sfc_mdt_config())
         plain_result = plain.run()
-        restored = Core(program, baseline_sfc_mdt_config(), trace=trace,
+        restored = Core(program, baseline_sfc_mdt_config(),
                         start_pc=0, start_regs=None, warm_state=None)
         restored_result = restored.run()
         assert restored_result.cycles == plain_result.cycles

@@ -320,8 +320,8 @@ class TestEngineGrids:
         b = warm.run_suite(BENCHMARKS, configs(), jobs=2)
         assert warm.cache_hits == 4 and warm.cache_misses == 0
         assert grid_snapshot(a) == grid_snapshot(b)
-        # No program/trace was ever built on the warm path.
-        assert not warm._programs and not warm._traces
+        # No program was ever built on the warm path.
+        assert not warm._programs
 
     def test_single_run_fills_and_hits_cache(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE, cache_dir=tmp_path)

@@ -42,25 +42,25 @@ def cfg(name: str, rob: int):
     return config
 
 
-def _crash_on_marked(program, trace, config):
+def _crash_on_marked(program, limit, config):
     if config.name.startswith("crash"):
         os._exit(23)
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
-def _hang_on_marked(program, trace, config):
+def _hang_on_marked(program, limit, config):
     if config.name.startswith("hang"):
         time.sleep(60)
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
-def _raise_on_marked(program, trace, config):
+def _raise_on_marked(program, limit, config):
     if config.name.startswith("boom"):
         raise RuntimeError("injected cell failure")
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
-def _raise_once_on_marked(program, trace, config):
+def _raise_once_on_marked(program, limit, config):
     """Raises on the marked cell's first attempt only: the sentinel
     file (path via environment, inherited by workers) records that the
     first attempt happened."""
@@ -73,20 +73,20 @@ def _raise_once_on_marked(program, trace, config):
         else:
             os.close(fd)
             raise RuntimeError("injected first-attempt failure")
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
-def _chaos_on_marked(program, trace, config):
+def _chaos_on_marked(program, limit, config):
     if config.name.startswith("crash"):
         os._exit(23)
     if config.name.startswith("boom"):
         raise RuntimeError("injected cell failure")
     if config.name.startswith("hang"):
         time.sleep(60)
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
-def _crash_once_on_marked(program, trace, config):
+def _crash_once_on_marked(program, limit, config):
     if config.name.startswith("flaky"):
         sentinel = Path(os.environ["REPRO_TEST_FLAKY_SENTINEL"])
         try:
@@ -96,7 +96,7 @@ def _crash_once_on_marked(program, trace, config):
         else:
             os.close(fd)
             os._exit(23)
-    return _simulate_cell(program, trace, config)
+    return _simulate_cell(program, limit, config)
 
 
 def runner(tmp_path, **kwargs):

@@ -87,10 +87,10 @@ class TestFigure4Presets:
 
 
 class TestExperimentRunner:
-    def test_trace_cached_per_benchmark(self):
+    def test_program_cached_per_benchmark(self):
         runner = ExperimentRunner(scale=1500)
-        first = runner.trace("gap")
-        second = runner.trace("gap")
+        first = runner.program("gap")
+        second = runner.program("gap")
         assert first is second
 
     def test_run_produces_result(self):

@@ -1,6 +1,6 @@
 """Tests for the value-based retirement-replay subsystem (paper §4)."""
 
-from repro import Core, run_program
+from repro import Core
 from repro.core import LoadReplaySubsystem, LSQConfig
 from repro.harness import aggressive_load_replay_config
 from repro.harness.configs import SUBSYSTEM_LOAD_REPLAY
@@ -87,9 +87,8 @@ class TestPipeline:
     def test_random_programs_retire_exactly(self):
         for seed in (5, 55, 555):
             prog = random_program(seed, max_blocks=15)
-            trace = run_program(prog, 500_000)
             Core(prog, aggressive_load_replay_config(),
-                 trace=trace).run()
+                 max_instructions=500_000).run()
 
     def test_violation_detected_at_retirement(self):
         """A late store is only caught when the stale load retires."""

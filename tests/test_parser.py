@@ -171,6 +171,5 @@ class TestRoundTrip:
             halt
         """)
         trace = run_program(program)
-        result = Core(program, baseline_sfc_mdt_config(),
-                      trace=trace).run()
+        result = Core(program, baseline_sfc_mdt_config()).run()
         assert result.instructions == len(trace)

@@ -8,7 +8,7 @@ microarchitectural *events* the paper's mechanisms are about.
 
 import pytest
 
-from repro import Assembler, Core, run_program
+from repro import Assembler, Core, Interpreter
 from repro.harness.configs import (
     NOT_ENF,
     aggressive_lsq_config,
@@ -356,16 +356,16 @@ class TestSimulationGuards:
             run(assemble(counted_loop_program), config)
 
     def test_validation_catches_wrong_trace(self):
-        """Feeding the wrong golden trace must abort the simulation."""
+        """An oracle running another program must abort the
+        simulation."""
         from repro.pipeline import SimulationError
         prog = assemble(store_load_program)
         other = Assembler()
         other.li("r1", 1)
         other.halt()
-        wrong_trace = run_program(other.build())
         with pytest.raises(SimulationError):
             Core(prog, baseline_lsq_config(),
-                 trace=wrong_trace).run()
+                 oracle=Interpreter(other.build())).run()
 
     def test_result_repr_and_rates(self):
         result = run(assemble(counted_loop_program), baseline_lsq_config())

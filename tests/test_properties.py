@@ -3,7 +3,7 @@
 The headline property is the paper's own correctness criterion: for any
 program, the out-of-order pipeline retires exactly the architectural
 trace, under every memory-subsystem configuration.  The pipeline enforces
-this internally (golden-trace validation at retirement), so running a
+this internally (lockstep-oracle validation at retirement), so running a
 random hazard-rich program to completion *is* the property check.
 
 Reference-model properties check the SFC and MDT against simple oracles:
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import Core, run_program
+from repro import Core
 from repro.core import (
     MDTConfig,
     MemoryDisambiguationTable,
@@ -53,51 +53,45 @@ class TestPipelineEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_baseline_lsq_matches_iss(self, seed):
         prog = random_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, baseline_lsq_config(), trace=trace).run()
+        Core(prog, baseline_lsq_config(), max_instructions=500_000).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_baseline_sfc_mdt_matches_iss(self, seed):
         prog = random_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, baseline_sfc_mdt_config(), trace=trace).run()
+        Core(prog, baseline_sfc_mdt_config(), max_instructions=500_000).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_not_enf_matches_iss(self, seed):
         prog = random_program(seed)
-        trace = run_program(prog, 500_000)
         Core(prog, baseline_sfc_mdt_config(mode=NOT_ENF, name="n"),
-             trace=trace).run()
+             max_instructions=500_000).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_aggressive_sfc_mdt_matches_iss(self, seed):
         prog = random_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, aggressive_sfc_mdt_config(), trace=trace).run()
+        Core(prog, aggressive_sfc_mdt_config(), max_instructions=500_000).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_tiny_structures_still_correct(self, seed):
         """Degenerate 1-entry SFC/MDT: replays everywhere, still exact."""
         prog = random_program(seed, max_blocks=6)
-        trace = run_program(prog, 500_000)
         config = baseline_sfc_mdt_config(sfc_sets=1, mdt_sets=1,
                                          name="tiny")
         config.sfc.assoc = 1
         config.mdt.assoc = 1
-        Core(prog, config, trace=trace).run()
+        Core(prog, config, max_instructions=500_000).run()
 
     @_SLOW
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_same_ipc_across_reruns(self, seed):
         prog = random_program(seed, max_blocks=6)
-        trace = run_program(prog, 500_000)
         config = baseline_sfc_mdt_config()
-        first = Core(prog, config, trace=trace).run()
-        second = Core(prog, config, trace=trace).run()
+        first = Core(prog, config, max_instructions=500_000).run()
+        second = Core(prog, config, max_instructions=500_000).run()
         assert first.cycles == second.cycles
 
 
@@ -111,22 +105,19 @@ class TestPipelineEquivalenceDeep:
     @given(seed=st.integers(min_value=0, max_value=1_000_000))
     def test_baseline_lsq_matches_iss(self, seed):
         prog = fuzz_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, baseline_lsq_config(), trace=trace).run()
+        Core(prog, baseline_lsq_config(), max_instructions=500_000).run()
 
     @_DEEP
     @given(seed=st.integers(min_value=0, max_value=1_000_000))
     def test_baseline_sfc_mdt_matches_iss(self, seed):
         prog = fuzz_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, baseline_sfc_mdt_config(), trace=trace).run()
+        Core(prog, baseline_sfc_mdt_config(), max_instructions=500_000).run()
 
     @_DEEP
     @given(seed=st.integers(min_value=0, max_value=1_000_000))
     def test_aggressive_sfc_mdt_matches_iss(self, seed):
         prog = fuzz_program(seed)
-        trace = run_program(prog, 500_000)
-        Core(prog, aggressive_sfc_mdt_config(), trace=trace).run()
+        Core(prog, aggressive_sfc_mdt_config(), max_instructions=500_000).run()
 
 
 # -- SFC reference model -------------------------------------------------------

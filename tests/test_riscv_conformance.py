@@ -103,8 +103,8 @@ class TestStlHazardFixture:
 
         program, expected = self.load()
         interp = Interpreter(program)
-        trace = interp.run(10_000)
-        core = Core(program, config_fn(), trace=trace)
+        interp.run(10_000)
+        core = Core(program, config_fn())
         core.run()
         regs = core.architectural_registers()
         for index, value in expected.items():

@@ -45,10 +45,10 @@ def run_both(asm):
     """Interpret and pipeline-simulate; returns (oracle, results)."""
     program = asm.build(name="overlap-test")
     interp = Interpreter(program)
-    trace = interp.run(10_000)
+    interp.run(10_000)
     outcomes = {}
     for config in (baseline_sfc_mdt_config(), baseline_lsq_config()):
-        core = Core(program, config, trace=trace)
+        core = Core(program, config)
         result = core.run()
         assert core.memory.digest() == interp.memory.digest()
         assert core.architectural_registers() == list(interp.regs)

@@ -31,9 +31,7 @@ SCALE = 30_000
 
 def _full_ipc(benchmark, config, scale=SCALE):
     program = suites.build(benchmark, scale)
-    interp = Interpreter(program)
-    trace = interp.run(5_000_000)
-    core = Core(program, config, trace=trace)
+    core = Core(program, config, max_instructions=5_000_000)
     result = core.run()
     return result.instructions / result.cycles
 
@@ -330,18 +328,13 @@ class TestSystemCheckpointRestore:
 
         program = suites.build("gzip", 3_000)
         interp = Interpreter(program)
-        golden_trace = interp.run(5_000_000)
+        interp.run(5_000_000)
         checkpoints, total = capture_train(program, every=1_000,
                                            warm=True)
         ckpt = checkpoints[1]
-        resumed = ckpt.resume_interpreter(program)
-        resumed.instructions_retired = 0
-        suffix = resumed.run(500_000)
         config = SystemConfig(core=baseline_sfc_mdt_config(), cores=2,
                               memory_mode="private")
-        system = System([program] * 2, config,
-                        traces=[suffix] * 2,
-                        checkpoints=[ckpt] * 2)
+        system = System([program] * 2, config, checkpoints=[ckpt] * 2)
         result = system.run()
         expected = 2 * (total - ckpt.retired)
         assert result.instructions == expected

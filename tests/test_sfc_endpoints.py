@@ -124,7 +124,7 @@ class TestConfig:
 
 class TestEndToEnd:
     def test_pipeline_runs_exactly_with_endpoints(self):
-        from repro import Core, run_program
+        from repro import Core
         from repro.harness.configs import baseline_sfc_mdt_config
         from repro.workloads import random_program
 
@@ -132,20 +132,18 @@ class TestEndToEnd:
         config.sfc.corruption_mode = CORRUPTION_ENDPOINTS
         for seed in (3, 14, 159):
             prog = random_program(seed, max_blocks=15)
-            trace = run_program(prog, 500_000)
-            Core(prog, config, trace=trace).run()
+            Core(prog, config, max_instructions=500_000).run()
 
     def test_endpoints_reduce_corruption_replays(self):
-        from repro import Core, run_program
+        from repro import Core
         from repro.harness.configs import aggressive_sfc_mdt_config
         from repro.workloads import build
 
         prog = build("ammp", scale=6000)
-        trace = run_program(prog, 2_000_000)
         mask = Core(prog, aggressive_sfc_mdt_config(),
-                    trace=trace).run()
+                    max_instructions=2_000_000).run()
         config = aggressive_sfc_mdt_config(name="endpoints")
         config.sfc.corruption_mode = CORRUPTION_ENDPOINTS
-        endpoints = Core(prog, config, trace=trace).run()
+        endpoints = Core(prog, config, max_instructions=2_000_000).run()
         assert endpoints.counters.get("load_replays_sfc_corrupt") <= \
             mask.counters.get("load_replays_sfc_corrupt")

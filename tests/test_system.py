@@ -89,12 +89,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="2 program"):
             System([program, program], config)
 
-    def test_wrong_trace_count_rejected(self):
-        program = assemble(counted_loop_program)
-        config = SystemConfig(core=_baseline(), cores=2)
-        with pytest.raises(ValueError, match="1 trace"):
-            System([program], config, traces=[[]])
-
 
 class TestCounterNamespacing:
     def test_merged_counters_structure(self):
